@@ -89,8 +89,9 @@ SHAREABLE_TYPE_NAMES: FrozenSet[str] = frozenset({
     # the module path component in ``np.random.Generator`` annotations
     "np", "numpy", "random", "ndarray", "Generator", "SeedLike",
     # frozen value dataclasses shipped to supervised fan-out workers /
-    # serve chaos harnesses (repro.robustness.faults: plain scalars only)
-    "ProcessFaultSpec", "ServeFaultSpec",
+    # serve chaos harnesses (repro.robustness.faults: plain scalars only;
+    # repro.core.config: scalars, a Metric value object, a seed Generator)
+    "ProcessFaultSpec", "ServeFaultSpec", "ProclusConfig",
 })
 
 #: Directories whose files RPR002 guards: the numeric core, where a

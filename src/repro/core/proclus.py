@@ -12,8 +12,10 @@ Example
 
 from __future__ import annotations
 
+import inspect
 import warnings as _warnings
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import replace
+from typing import Any, List, Optional, Union
 
 import numpy as np
 
@@ -32,8 +34,7 @@ from ..rng import SeedLike, ensure_rng, spawn
 from ..robustness.fallback import kmedoids_fallback, plan_degradation
 from ..robustness.guards import Deadline
 from ..robustness.sanitize import SanitizationReport, sanitize
-from ..validation import (check_array, check_dtype, check_max_retries,
-                          check_n_jobs, check_time_budget)
+from ..validation import check_array
 from .assignment import assign_points
 from .config import ProclusConfig
 from .initialization import initialize_medoid_pool
@@ -45,185 +46,160 @@ from .result import ProclusResult
 __all__ = ["Proclus", "proclus"]
 
 
-def _fit(X: np.ndarray, k: int, l: float, *,
-         sample_factor: int, pool_factor: int, min_deviation: float,
-         max_bad_tries: int, max_iterations: int,
-         metric: Union[str, Metric], min_dims_per_cluster: int,
-         handle_outliers: bool, keep_history: bool, restarts: int,
-         fit_sample_size: Optional[int], seed: SeedLike,
-         deadline: Optional[Deadline],
-         exclude_dims: Sequence[int],
-         notes: List[str], cache: bool = True,
-         n_jobs: int = 1, max_retries: int = 2,
-         restart_timeout_s: Optional[float] = None,
-         checkpoint_dir: Optional[str] = None,
-         resume: bool = False,
-         profile: bool = False,
-         dtype: str = "float64") -> ProclusResult:
-    """Fit on already-sanitized data (the body behind :func:`proclus`).
+def _fit(X: np.ndarray, config: ProclusConfig, *,
+         deadline: Optional[Deadline], notes: List[str],
+         profile: bool = False) -> ProclusResult:
+    """Fit already-sanitized ``X`` (the body behind :func:`proclus`).
 
-    ``X`` arrives already converted to ``dtype`` by the public
-    boundary; the parameter is threaded so restart workers, checkpoint
-    fingerprints, and the validated config all agree on the precision.
+    ``X`` arrives converted to ``config.dtype`` and ``config`` validated
+    against its shape.  Dispatches on the mode: several restarts, one
+    CLARA-style sample fit, or one fit on all of ``X``.  Restart workers
+    call it once per restart with ``restarts=1`` and their own seed.
+    """
+    if config.restarts > 1:
+        return _fit_restarts(X, config, deadline=deadline, notes=notes,
+                             profile=profile)
+    if (config.fit_sample_size is not None
+            and config.fit_sample_size < X.shape[0]):
+        return _fit_sampled(X, config, deadline)
+    return _fit_single(X, config, deadline)
+
+
+def _fit_restarts(X: np.ndarray, config: ProclusConfig, *,
+                  deadline: Optional[Deadline], notes: List[str],
+                  profile: bool) -> ProclusResult:
+    """Several independent restarts; the lowest iterative objective wins.
+
+    The restarts run under the fault-tolerant supervisor (crash retry,
+    hang replacement, checkpoint/resume, signal-safe shutdown); both its
+    loops reduce the winner by the order-independent key
+    ``(iterative_objective, restart_index)``, which equals the serial
+    first-best-wins choice.
+    """
+    from ..robustness.supervisor import (RunCheckpoint, run_serial_restarts,
+                                         supervise_restarts)
+
+    restarts, n_jobs = config.restarts, config.n_jobs
+    children = spawn(ensure_rng(config.seed), restarts)
+    # the supervisor runs this config once per child, with the child's seed
+    per_restart = replace(config, restarts=1)
+    checkpoint = None
+    if config.checkpoint_dir is not None:
+        checkpoint = RunCheckpoint.open(
+            config.checkpoint_dir, children=children, config=per_restart,
+            resume=config.resume,
+        )
+    fan_t0 = monotonic_s()
+    with get_tracer().span("restarts", restarts=restarts, n_jobs=n_jobs):
+        if resolve_n_jobs(n_jobs, n_tasks=restarts) > 1:
+            outcome = supervise_restarts(
+                X, children, config=per_restart, deadline=deadline,
+                checkpoint=checkpoint, profile=profile,
+            )
+        else:
+            outcome = run_serial_restarts(
+                X, children, config=per_restart, deadline=deadline,
+                checkpoint=checkpoint,
+            )
+    best = outcome.best
+    # only the winning child's notes survive; losers' notes describe
+    # runs that were discarded
+    notes.extend(outcome.winner_notes)
+    if outcome.interrupted:
+        notes.append(
+            f"interrupted by signal after {outcome.completed} of "
+            f"{restarts} restarts; returning the best completed run"
+        )
+        best.terminated_by = "signal"
+    elif outcome.cancelled:
+        notes.append(
+            f"time budget exhausted after {outcome.completed} of "
+            f"{restarts} restarts; returning the best completed run"
+        )
+    best.parallelism = {
+        "n_jobs": n_jobs,
+        "n_workers": outcome.n_workers,
+        "restarts_completed": outcome.completed,
+        "restart_seconds": outcome.restart_seconds,
+        "wall_seconds": monotonic_s() - fan_t0,
+    }
+    ft = outcome.fault_tolerance
+    if ft is not None and not (
+        checkpoint is not None or outcome.interrupted
+        or any(ft[key] for key in (
+            "retries", "respawns", "timeouts", "corrupt_payloads",
+            "salvaged_serial", "resumed_from"))
+    ):
+        ft = None  # an uneventful run reports no fault diagnostics
+    best.fault_tolerance = ft
+    return best
+
+
+def _fit_sampled(X: np.ndarray, config: ProclusConfig,
+                 deadline: Optional[Deadline]) -> ProclusResult:
+    """CLARA-style large-database fit.
+
+    Initialization and hill climbing run on a uniform sample of
+    ``fit_sample_size`` points; the refinement pass then runs over all
+    of ``X`` with the sample's medoids.
     """
     tracer = get_tracer()
-    if restarts > 1:
-        # Multi-restart runs execute under the fault-tolerant supervisor
-        # (crash retry, hang replacement, checkpoint/resume, signal-safe
-        # shutdown); both its loops reduce the winner by the
-        # order-independent key (iterative_objective, restart_index),
-        # which equals the historical serial first-best-wins choice.
-        from ..robustness.supervisor import (RunCheckpoint,
-                                             run_serial_restarts,
-                                             supervise_restarts)
-
-        rng = ensure_rng(seed)
-        children = spawn(rng, restarts)
-        fit_kwargs = dict(
-            k=k, l=l,
-            sample_factor=sample_factor, pool_factor=pool_factor,
-            min_deviation=min_deviation,
-            max_bad_tries=max_bad_tries,
-            max_iterations=max_iterations, metric=metric,
-            min_dims_per_cluster=min_dims_per_cluster,
-            handle_outliers=handle_outliers,
-            keep_history=keep_history,
-            fit_sample_size=fit_sample_size,
-            exclude_dims=exclude_dims, cache=cache,
-            dtype=dtype,
+    rng_sample, rng_fit = spawn(ensure_rng(config.seed), 2)
+    sample_idx = rng_sample.choice(
+        X.shape[0], size=config.fit_sample_size, replace=False,
+    )
+    t0 = monotonic_s()
+    with tracer.phase("sample_fit", sample_size=config.fit_sample_size):
+        sub = _fit_single(
+            X[sample_idx],
+            replace(config, seed=rng_fit, handle_outliers=False), deadline,
         )
-        checkpoint = None
-        if checkpoint_dir is not None:
-            checkpoint = RunCheckpoint.open(
-                checkpoint_dir, children=children,
-                fit_kwargs=fit_kwargs, resume=resume,
-            )
-        fan_t0 = monotonic_s()
-        with tracer.span("restarts", restarts=restarts, n_jobs=n_jobs):
-            if resolve_n_jobs(n_jobs, n_tasks=restarts) > 1:
-                outcome = supervise_restarts(
-                    X, children, n_jobs=n_jobs, deadline=deadline,
-                    fit_kwargs=fit_kwargs, max_retries=max_retries,
-                    restart_timeout_s=restart_timeout_s,
-                    checkpoint=checkpoint, profile=profile,
-                )
-            else:
-                outcome = run_serial_restarts(
-                    X, children, deadline=deadline, fit_kwargs=fit_kwargs,
-                    checkpoint=checkpoint,
-                )
-        best = outcome.best
-        # only the winning child's notes survive, as in the historical
-        # serial loop; losers' notes describe runs that were discarded
-        notes.extend(outcome.winner_notes)
-        if outcome.interrupted:
-            notes.append(
-                f"interrupted by signal after {outcome.completed} of "
-                f"{restarts} restarts; returning the best completed run"
-            )
-            best.terminated_by = "signal"
-        elif outcome.cancelled:
-            notes.append(
-                f"time budget exhausted after {outcome.completed} of "
-                f"{restarts} restarts; returning the best completed run"
-            )
-        best.parallelism = {
-            "n_jobs": n_jobs,
-            "n_workers": outcome.n_workers,
-            "restarts_completed": outcome.completed,
-            "restart_seconds": outcome.restart_seconds,
-            "wall_seconds": monotonic_s() - fan_t0,
-        }
-        ft = outcome.fault_tolerance
-        if ft is not None and not (
-            checkpoint is not None or outcome.interrupted
-            or any(ft[key] for key in (
-                "retries", "respawns", "timeouts", "corrupt_payloads",
-                "salvaged_serial", "resumed_from"))
-        ):
-            ft = None  # an uneventful run reports no fault diagnostics
-        best.fault_tolerance = ft
-        return best
-
-    if fit_sample_size is not None and fit_sample_size < X.shape[0]:
-        if fit_sample_size < max(sample_factor, pool_factor) * k:
-            raise ParameterError(
-                f"fit_sample_size={fit_sample_size} is smaller than the "
-                f"initialization needs (A*k = {sample_factor * k})"
-            )
-        rng = ensure_rng(seed)
-        rng_sample, rng_fit = spawn(rng, 2)
-        sample_idx = rng_sample.choice(
-            X.shape[0], size=fit_sample_size, replace=False,
+    t_sample_fit = monotonic_s() - t0
+    # The sample fit's cache is bound to the subsample, so the full pass
+    # gets a fresh one (assignment + refinement share columns for
+    # medoids whose dimension set survives).
+    t0 = monotonic_s()
+    with tracer.phase("refinement"):
+        cache_obj = IterativeCache() if config.cache else None
+        medoid_indices = sample_idx[sub.medoid_indices]
+        dim_sets = [sub.dimensions[i] for i in range(config.k)]
+        full_labels = assign_points(X, X[medoid_indices], dim_sets,
+                                    cache=cache_obj,
+                                    medoid_indices=medoid_indices)
+        refined = refine_clusters(
+            X, full_labels, medoid_indices, config.l,
+            min_dims_per_cluster=config.min_dims_per_cluster,
+            fallback_dims=dim_sets,
+            handle_outliers=config.handle_outliers,
+            exclude_dims=config.exclude_dims,
+            cache=cache_obj,
         )
-        t0 = monotonic_s()
-        with tracer.phase("sample_fit", sample_size=fit_sample_size):
-            sub = _fit(
-                X[sample_idx], k, l,
-                sample_factor=sample_factor, pool_factor=pool_factor,
-                min_deviation=min_deviation, max_bad_tries=max_bad_tries,
-                max_iterations=max_iterations, metric=metric,
-                min_dims_per_cluster=min_dims_per_cluster,
-                handle_outliers=False, keep_history=keep_history,
-                restarts=1, fit_sample_size=None, seed=rng_fit,
-                deadline=deadline, exclude_dims=exclude_dims, notes=notes,
-                cache=cache, n_jobs=n_jobs, dtype=dtype,
-            )
-        t_sample_fit = monotonic_s() - t0
-        # refinement over the FULL database with the sample's medoids.
-        # The sample fit's cache is bound to the subsample, so the full
-        # pass gets a fresh one (assignment + refinement share columns
-        # for medoids whose dimension set survives).
-        t0 = monotonic_s()
-        with tracer.phase("refinement"):
-            cache_obj = IterativeCache() if cache else None
-            medoid_indices = sample_idx[sub.medoid_indices]
-            dim_sets = [sub.dimensions[i] for i in range(k)]
-            full_labels = assign_points(X, X[medoid_indices], dim_sets,
-                                        cache=cache_obj,
-                                        medoid_indices=medoid_indices)
-            refined = refine_clusters(
-                X, full_labels, medoid_indices, l,
-                min_dims_per_cluster=min_dims_per_cluster,
-                fallback_dims=dim_sets,
-                handle_outliers=handle_outliers,
-                exclude_dims=exclude_dims,
-                cache=cache_obj,
-            )
-            objective = evaluate_clusters(X, refined.labels, refined.dim_sets)
-        return ProclusResult(
-            labels=refined.labels,
-            medoids=X[medoid_indices],
-            medoid_indices=medoid_indices,
-            dimensions={i: d for i, d in enumerate(refined.dim_sets)},
-            objective=float(objective),
-            iterative_objective=sub.iterative_objective,
-            n_iterations=sub.n_iterations,
-            n_improvements=sub.n_improvements,
-            objective_history=sub.objective_history,
-            phase_seconds={
-                "sample_fit": t_sample_fit,
-                "refinement": monotonic_s() - t0,
-            },
-            terminated_by=sub.terminated_by,
-            cache_stats=(cache_obj.stats_dict()
-                         if cache_obj is not None else None),
-        )
+        objective = evaluate_clusters(X, refined.labels, refined.dim_sets)
+    return ProclusResult(
+        labels=refined.labels,
+        medoids=X[medoid_indices],
+        medoid_indices=medoid_indices,
+        dimensions={i: d for i, d in enumerate(refined.dim_sets)},
+        objective=float(objective),
+        iterative_objective=sub.iterative_objective,
+        n_iterations=sub.n_iterations,
+        n_improvements=sub.n_improvements,
+        objective_history=sub.objective_history,
+        phase_seconds={
+            "sample_fit": t_sample_fit,
+            "refinement": monotonic_s() - t0,
+        },
+        terminated_by=sub.terminated_by,
+        cache_stats=(cache_obj.stats_dict()
+                     if cache_obj is not None else None),
+    )
 
-    config = ProclusConfig(
-        k=k, l=l, sample_factor=sample_factor, pool_factor=pool_factor,
-        min_deviation=min_deviation, max_bad_tries=max_bad_tries,
-        max_iterations=max_iterations, metric=metric,
-        min_dims_per_cluster=min_dims_per_cluster,
-        time_budget_s=deadline.budget_s if deadline is not None else None,
-        cache=cache,
-        n_jobs=n_jobs,
-        dtype=dtype,
-        seed=seed,
-    ).validated(X.shape[0], X.shape[1])
 
-    rng = ensure_rng(config.seed)
-    rng_init, rng_iter = spawn(rng, 2)
+def _fit_single(X: np.ndarray, config: ProclusConfig,
+                deadline: Optional[Deadline]) -> ProclusResult:
+    """The paper's three phases on all of ``X``."""
+    tracer = get_tracer()
+    rng_init, rng_iter = spawn(ensure_rng(config.seed), 2)
 
     # Phase 1: initialization ------------------------------------------
     t0 = monotonic_s()
@@ -245,9 +221,9 @@ def _fit(X: np.ndarray, k: int, l: float, *,
         max_iterations=config.max_iterations,
         min_dims_per_cluster=config.min_dims_per_cluster,
         seed=rng_iter,
-        keep_history=keep_history,
+        keep_history=config.keep_history,
         deadline=deadline,
-        exclude_dims=exclude_dims,
+        exclude_dims=config.exclude_dims,
         cache=cache_obj,
     )
 
@@ -258,8 +234,8 @@ def _fit(X: np.ndarray, k: int, l: float, *,
             X, phase2.labels, phase2.medoid_indices, config.l,
             min_dims_per_cluster=config.min_dims_per_cluster,
             fallback_dims=phase2.dim_sets,
-            handle_outliers=handle_outliers,
-            exclude_dims=exclude_dims,
+            handle_outliers=config.handle_outliers,
+            exclude_dims=config.exclude_dims,
             cache=cache_obj,
         )
         final_objective = evaluate_clusters(X, refined.labels,
@@ -318,27 +294,6 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
         Data matrix ``(N, d)`` or a :class:`~repro.data.Dataset`.
     k, l:
         Number of clusters and average cluster dimensionality.
-    handle_outliers:
-        Disable to keep every point assigned (ablation hook; the paper
-        always detects outliers in the refinement pass).
-    restarts:
-        Run the whole pipeline this many times with independent random
-        streams and keep the run with the lowest *iterative-phase*
-        objective.  The hill climbing is a randomised local search and
-        can converge with two medoids piercing one natural cluster; the
-        paper's own remedy (section 4.3) is to "simply run the
-        algorithm a few times".  Selection uses the iterative objective
-        because the refined one shrinks artificially when a bad
-        solution declares many points outliers.
-    fit_sample_size:
-        CLARA-style large-database mode: run the initialization and the
-        hill climbing on a uniform subsample of this size, then perform
-        the refinement pass (dimension recomputation, assignment,
-        outlier detection) over the *full* data.  Cuts the per-iteration
-        O(N·k·d) cost to O(sample·k·d) while the final clustering still
-        covers every point.  ``None`` (default) uses all points
-        throughout, as the paper does.  Composes with ``restarts``:
-        every restart runs in large-database mode on its own subsample.
     on_bad_values:
         Policy for NaN/inf cells: ``"raise"`` (default — the historical
         behaviour), ``"drop"``, ``"impute_median"``, or ``"clip"``.  Any
@@ -358,53 +313,6 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
         adjustment is recorded on ``result.warnings`` and flips
         ``result.degraded``.  Default off: degenerate inputs raise, as
         before.
-    time_budget_s:
-        Wall-clock budget for the whole fit.  On expiry the hill
-        climbing returns best-so-far with
-        ``result.terminated_by == "deadline"`` (the first iteration
-        always completes); remaining restarts are skipped.
-    cache:
-        Enable the incremental per-medoid distance cache
-        (:class:`~repro.perf.cache.IterativeCache`, default on): each
-        hill-climbing vertex recomputes only the columns its medoid
-        swaps invalidated, bounded in memory by the same budget the
-        distance kernels honour.  Results are bit-identical with the
-        cache on or off; hit statistics land on
-        ``result.cache_stats``.  See ``docs/performance.md``.
-    n_jobs:
-        Worker count for the deterministic parallel execution layer
-        (:mod:`repro.perf.parallel`).  ``1`` (default) is the exact
-        serial code path; ``>= 2`` fans ``restarts > 1`` out over that
-        many processes, sharing the sanitized data matrix through a
-        zero-copy shared-memory plane; ``-1`` uses all cores.  Results
-        are bit-identical to the serial loop for any ``n_jobs``: child
-        seeds are spawned in the parent and the winner is reduced by
-        ``(iterative_objective, restart_index)``, which is
-        order-independent.  Worker/timing diagnostics land on
-        ``result.parallelism``.  Each worker builds its own
-        :class:`~repro.perf.cache.IterativeCache` when ``cache=True``.
-    max_retries:
-        Per-restart retry budget under the fault-tolerant supervisor
-        that runs every multi-restart fit: a crashed or hung worker's
-        restart is resubmitted (replaying the identical seed stream, so
-        retries are bit-deterministic) up to this many times, then
-        degrades to the in-process serial loop.  ``0`` disables
-        retries.  Diagnostics land on ``result.fault_tolerance``.
-    restart_timeout_s:
-        Wall-clock cap per restart in the parallel fan-out; an
-        in-flight restart exceeding it is treated as hung and charged a
-        retry.  ``None`` (default) disables hang detection.
-    checkpoint_dir:
-        Persist every completed restart of a multi-restart fit to this
-        directory (atomic write-temp-then-rename).  An interrupted run
-        — SIGINT/SIGTERM returns best-so-far with
-        ``result.terminated_by == "signal"`` — can then be resumed.
-    resume:
-        Resume from ``checkpoint_dir``: completed restarts are loaded
-        and skipped, and the final result is bit-identical to an
-        uninterrupted run.  A manifest recorded by a different run
-        (other seed, restarts, or parameters) raises
-        :class:`~repro.exceptions.CheckpointError`.
     profile:
         Record a structured observability profile of the fit
         (:mod:`repro.obs`): per-phase wall seconds, hot-path counters,
@@ -418,38 +326,22 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
         winner's worker-side profile is embedded under
         ``result.profile["winner"]``.  Default off: the no-op tracer
         costs nothing measurable.
-    dtype:
-        Working dtype of the compute path: ``"float64"`` (default) or
-        ``"float32"``.  The input is converted **once** at this
-        boundary; every kernel downstream — segmental columns, cross
-        distances, the cache's stored columns, the shared-memory fan-out
-        — then computes natively in that dtype, halving bytes moved for
-        float32 (ranking statistics still accumulate in float64; see
-        ``docs/performance.md``).  ``"float64"`` runs are bit-identical
-        to the historical path; ``"float32"`` runs are deterministically
-        reproducible within the dtype but not bit-comparable across
-        dtypes (checkpoints record the dtype and refuse to resume a
-        run of the other precision).
 
-    Other parameters are documented on
-    :class:`~repro.core.config.ProclusConfig`.
+    Every other parameter is a field of
+    :class:`~repro.core.config.ProclusConfig`, documented there with the
+    same name and default.  ``dtype`` converts the input **once**, at
+    this boundary; every kernel downstream then computes natively in
+    that dtype.
     """
+    # first statement: locals() holds exactly the arguments
+    config = ProclusConfig.from_params(locals())
     if isinstance(X, Dataset):
         X = X.points
-    if restarts < 1:
-        raise ParameterError(f"restarts must be >= 1; got {restarts}")
-    n_jobs = check_n_jobs(n_jobs)
-    max_retries = check_max_retries(max_retries)
-    dtype = check_dtype(dtype)
-    restart_timeout_s = check_time_budget(
-        restart_timeout_s, name="restart_timeout_s")
-    if resume and checkpoint_dir is None:
-        raise ParameterError("resume=True requires checkpoint_dir to be set")
-    deadline = Deadline.start(time_budget_s) if time_budget_s is not None else None
+    deadline = (Deadline.start(config.time_budget_s)
+                if config.time_budget_s is not None else None)
 
     notes: List[str] = []
     report: Optional[SanitizationReport] = None
-    exclude_dims: Tuple[int, ...] = ()
     degraded = False
 
     with maybe_trace(profile) as tracer:
@@ -458,28 +350,32 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
                 X, report = sanitize(
                     X, on_bad_values=on_bad_values,
                     collapse_duplicates=collapse_duplicates, warn=False,
-                    dtype=dtype,
+                    dtype=config.dtype,
                 )
             notes.extend(report.messages)
             degraded = degraded or report.changed
         else:
             # the single sanctioned conversion point: everything below
             # computes natively in the working dtype
-            X = check_array(X, name="X", dtype=np.dtype(dtype))
+            X = check_array(X, name="X", dtype=np.dtype(config.dtype))
 
         use_kmedoids = False
         if auto_degrade:
             plan = plan_degradation(
-                X, k, l, sample_factor, pool_factor,
-                min_dims_per_cluster=min_dims_per_cluster,
+                X, config.k, config.l, config.sample_factor,
+                config.pool_factor,
+                min_dims_per_cluster=config.min_dims_per_cluster,
                 constant_dims=(report.constant_dims
                                if report is not None else ()),
             )
             notes.extend(plan.messages)
             degraded = degraded or plan.degraded
-            k, l = plan.k, plan.l
-            sample_factor, pool_factor = plan.sample_factor, plan.pool_factor
-            exclude_dims = plan.exclude_dims
+            config = replace(
+                config, k=plan.k, l=plan.l,
+                sample_factor=plan.sample_factor,
+                pool_factor=plan.pool_factor,
+                exclude_dims=plan.exclude_dims,
+            )
             use_kmedoids = plan.use_kmedoids
             if tracer.enabled and plan.degraded:
                 tracer.event("degradation_planned", k=plan.k, l=plan.l,
@@ -487,25 +383,13 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
                              n_excluded_dims=len(plan.exclude_dims))
 
         if use_kmedoids:
-            result = kmedoids_fallback(X, k, seed=seed, metric=metric)
+            result = kmedoids_fallback(X, config.k, seed=config.seed,
+                                       metric=config.metric)
         else:
             try:
-                result = _fit(
-                    X, k, l,
-                    sample_factor=sample_factor, pool_factor=pool_factor,
-                    min_deviation=min_deviation, max_bad_tries=max_bad_tries,
-                    max_iterations=max_iterations, metric=metric,
-                    min_dims_per_cluster=min_dims_per_cluster,
-                    handle_outliers=handle_outliers,
-                    keep_history=keep_history,
-                    restarts=restarts, fit_sample_size=fit_sample_size,
-                    seed=seed, deadline=deadline, exclude_dims=exclude_dims,
-                    notes=notes, cache=cache, n_jobs=n_jobs,
-                    max_retries=max_retries,
-                    restart_timeout_s=restart_timeout_s,
-                    checkpoint_dir=checkpoint_dir, resume=resume,
-                    profile=profile, dtype=dtype,
-                )
+                result = _fit(X, config.validated(*X.shape),
+                              deadline=deadline, notes=notes,
+                              profile=profile)
             except (ParameterError, DataError) as exc:
                 if not auto_degrade:
                     raise
@@ -515,7 +399,8 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
                 )
                 degraded = True
                 tracer.event("kmedoids_fallback", reason=str(exc))
-                result = kmedoids_fallback(X, k, seed=seed, metric=metric)
+                result = kmedoids_fallback(X, config.k, seed=config.seed,
+                                           metric=config.metric)
 
         if report is not None and report.changed:
             result.labels = report.restore_labels(result.labels)
@@ -539,93 +424,25 @@ def proclus(X: Union[np.ndarray, Dataset], k: int, l: float, *,
 class Proclus:
     """Estimator-style wrapper with ``fit`` / ``fit_predict`` / ``predict``.
 
-    Parameters match :func:`proclus`.  After :meth:`fit`, the fitted
+    Takes ``k``, ``l`` and the keyword arguments of :func:`proclus`, with
+    the same defaults; an unknown keyword raises :class:`TypeError` here,
+    not at :meth:`fit`.  After :meth:`fit`, the fitted
     :class:`~repro.core.result.ProclusResult` is available as
     :attr:`result_`, with convenience mirrors :attr:`labels_`,
     :attr:`medoids_`, and :attr:`dimensions_`.
     """
 
-    def __init__(self, k: int, l: float, *,
-                 sample_factor: int = 30, pool_factor: int = 5,
-                 min_deviation: float = 0.1, max_bad_tries: int = 20,
-                 max_iterations: int = 300,
-                 metric: Union[str, Metric] = "euclidean",
-                 min_dims_per_cluster: int = 2,
-                 handle_outliers: bool = True,
-                 keep_history: bool = True,
-                 restarts: int = 1,
-                 fit_sample_size: Optional[int] = None,
-                 on_bad_values: str = "raise",
-                 collapse_duplicates: bool = False,
-                 auto_degrade: bool = False,
-                 time_budget_s: Optional[float] = None,
-                 cache: bool = True,
-                 n_jobs: int = 1,
-                 max_retries: int = 2,
-                 restart_timeout_s: Optional[float] = None,
-                 checkpoint_dir: Optional[str] = None,
-                 resume: bool = False,
-                 profile: bool = False,
-                 dtype: str = "float64",
-                 seed: SeedLike = None) -> None:
+    def __init__(self, k: int, l: float, **params: Any) -> None:
+        inspect.signature(proclus).bind(None, k, l, **params)
         self.k = k
         self.l = l
-        self.sample_factor = sample_factor
-        self.pool_factor = pool_factor
-        self.min_deviation = min_deviation
-        self.max_bad_tries = max_bad_tries
-        self.max_iterations = max_iterations
-        self.metric = metric
-        self.min_dims_per_cluster = min_dims_per_cluster
-        self.handle_outliers = handle_outliers
-        self.keep_history = keep_history
-        self.restarts = restarts
-        self.fit_sample_size = fit_sample_size
-        self.on_bad_values = on_bad_values
-        self.collapse_duplicates = collapse_duplicates
-        self.auto_degrade = auto_degrade
-        self.time_budget_s = time_budget_s
-        self.cache = cache
-        self.n_jobs = n_jobs
-        self.max_retries = max_retries
-        self.restart_timeout_s = restart_timeout_s
-        self.checkpoint_dir = checkpoint_dir
-        self.resume = resume
-        self.profile = profile
-        self.dtype = dtype
-        self.seed = seed
+        self.params = params
         self.result_: Optional[ProclusResult] = None
 
     # ------------------------------------------------------------------
     def fit(self, X: Union[np.ndarray, Dataset]) -> "Proclus":
         """Cluster ``X`` (array or Dataset); returns ``self``."""
-        self.result_ = proclus(
-            X, self.k, self.l,
-            sample_factor=self.sample_factor,
-            pool_factor=self.pool_factor,
-            min_deviation=self.min_deviation,
-            max_bad_tries=self.max_bad_tries,
-            max_iterations=self.max_iterations,
-            metric=self.metric,
-            min_dims_per_cluster=self.min_dims_per_cluster,
-            handle_outliers=self.handle_outliers,
-            keep_history=self.keep_history,
-            restarts=self.restarts,
-            fit_sample_size=self.fit_sample_size,
-            on_bad_values=self.on_bad_values,
-            collapse_duplicates=self.collapse_duplicates,
-            auto_degrade=self.auto_degrade,
-            time_budget_s=self.time_budget_s,
-            cache=self.cache,
-            n_jobs=self.n_jobs,
-            max_retries=self.max_retries,
-            restart_timeout_s=self.restart_timeout_s,
-            checkpoint_dir=self.checkpoint_dir,
-            resume=self.resume,
-            profile=self.profile,
-            dtype=self.dtype,
-            seed=self.seed,
-        )
+        self.result_ = proclus(X, self.k, self.l, **self.params)
         return self
 
     def fit_predict(self, X: Union[np.ndarray, Dataset]) -> np.ndarray:

@@ -15,7 +15,7 @@ output:
   locality statistics, keyed by medoid row index (and dimension set)
   so only the columns of swapped medoids are recomputed;
 * :mod:`repro.perf.parallel` — the deterministic parallel execution
-  layer: a shared-memory process-pool fan-out for independent restarts,
+  layer: the shared-memory data plane and worker of the restart fan-out,
   a thread dispatcher for the chunked distance kernels, and an ordered
   :func:`~repro.perf.parallel.parallel_map` for experiment grids, all
   behind an ``n_jobs`` knob whose default (``1``) is the exact serial
@@ -35,7 +35,6 @@ from .parallel import (
     parallel_chunks,
     parallel_map,
     resolve_n_jobs,
-    run_parallel_restarts,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "parallel_chunks",
     "parallel_map",
     "resolve_n_jobs",
-    "run_parallel_restarts",
 ]

@@ -1,20 +1,21 @@
 """Deterministic parallel execution layer.
 
 PROCLUS is embarrassingly parallel at three grain sizes, and this
-module provides one dispatcher for each without changing a single bit
-of any result:
+module provides the pieces for each without changing a single bit of
+any result:
 
-* **Restarts** — :func:`run_parallel_restarts` fans the ``restarts > 1``
-  loop of :func:`repro.core.proclus._fit` out over a process pool.  The
-  data matrix travels through a zero-copy shared-memory plane
+* **Restarts** — the ``restarts > 1`` fits are fanned out over a
+  process pool by :func:`repro.robustness.supervisor.supervise_restarts`;
+  this module provides its data plane and worker body.  The data matrix
+  travels through a zero-copy shared-memory plane
   (:class:`SharedMatrix`): the parent publishes the sanitized ``X``
   once via :mod:`multiprocessing.shared_memory` and every worker
   attaches a read-only view instead of unpickling an ``(N, d)`` array
-  per task.  Child seeds are spawned in the parent — the same
-  :func:`repro.rng.spawn` streams the serial loop uses — and the winner
-  is reduced order-independently by the key ``(iterative_objective,
-  restart_index)``, which provably equals the serial loop's
-  first-best-wins choice regardless of completion order.
+  per task.  Each task runs :func:`_restart_worker` on a
+  :class:`~repro.core.config.ProclusConfig` carrying its own
+  parent-spawned seed — the same :func:`repro.rng.spawn` streams the
+  serial loop uses — so each restart computes the identical result in
+  either mode.
 * **Row chunks** — :func:`parallel_chunks` runs the chunk loops of the
   distance kernels (:func:`repro.distance.matrix.pairwise_distances`,
   :func:`repro.distance.segmental.segmental_distances_to_point`) on a
@@ -28,11 +29,10 @@ of any result:
 
 Deadline cooperation: a :class:`~repro.robustness.guards.Deadline`
 cannot cross a process boundary (its epoch is a per-process
-``perf_counter``), so the parent forwards the *remaining seconds* at
-fan-out time and each worker starts a fresh deadline from that value —
+``perf_counter``), so the parent forwards the *remaining seconds* with
+each restart it submits and the worker starts a fresh deadline from
+that value —
 workers self-terminate best-so-far exactly like an in-process fit.
-Once the parent's budget expires, not-yet-started restarts are
-cancelled and the reduction proceeds over every run that did complete.
 
 ``n_jobs`` semantics everywhere: ``1`` (the default) takes the exact
 serial code path, ``>= 2`` uses that many workers, ``-1`` uses all
@@ -45,8 +45,6 @@ from __future__ import annotations
 import math
 import os
 import weakref
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -55,7 +53,8 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - deferred heavy import
     from multiprocessing.shared_memory import SharedMemory
 
-from ..exceptions import ParameterError
+    from ..core.config import ProclusConfig
+
 from ..obs import maybe_trace, monotonic_s
 from ..robustness.guards import Deadline
 from ..validation import check_n_jobs
@@ -65,8 +64,6 @@ __all__ = [
     "SharedMatrix",
     "parallel_chunks",
     "parallel_map",
-    "run_parallel_restarts",
-    "RestartFanoutOutcome",
 ]
 
 
@@ -262,37 +259,16 @@ def parallel_map(fn: Callable, items: Sequence, *, n_jobs: int = 1) -> List:
 
 
 # ----------------------------------------------------------------------
-# Restart fan-out (processes + shared-memory plane)
+# Restart worker (processes + shared-memory plane)
 # ----------------------------------------------------------------------
 
-@dataclass
-class RestartFanoutOutcome:
-    """What :func:`run_parallel_restarts` hands back to ``_fit``.
-
-    ``best`` is the winning child's :class:`ProclusResult`;
-    ``winner_notes`` the notes *that child alone* produced (losing
-    restarts' notes are dropped, mirroring the serial loop's per-child
-    note isolation).  ``completed``/``cancelled`` count restarts that
-    ran to completion vs. ones the expired deadline cancelled before
-    they started.  ``restart_seconds`` holds per-restart worker wall
-    times indexed by restart (``None`` for cancelled ones).
-    """
-
-    best: object
-    best_index: int
-    winner_notes: List[str]
-    completed: int
-    cancelled: int
-    restart_seconds: List[Optional[float]]
-    n_workers: int
-
-
 def _restart_worker(
-    descriptor: Dict[str, object], index: int, seed: np.random.Generator,
-    remaining_s: Optional[float], fit_kwargs: Dict,
-    profile: bool = False,
+    descriptor: Dict[str, object], index: int, config: "ProclusConfig",
+    remaining_s: Optional[float], profile: bool = False,
 ) -> Tuple[int, object, List[str], float]:
     """One restart, executed in a pool worker.
+
+    ``config`` carries the restart's own seed and ``restarts=1``.
 
     Imports are deferred: this module must stay importable from the
     distance layer without dragging in the core package (which imports
@@ -307,103 +283,11 @@ def _restart_worker(
 
     X = SharedMatrix.attach(descriptor)
     deadline = Deadline.start(remaining_s) if remaining_s is not None else None
-    params = dict(fit_kwargs)
-    k = params.pop("k")
-    l = params.pop("l")
     notes: List[str] = []
     t0 = monotonic_s()
     with maybe_trace(profile) as tracer:
         with tracer.span("restart", index=index):
-            result = _fit(X, k, l, restarts=1, seed=seed, deadline=deadline,
-                          notes=notes, n_jobs=1, **params)
+            result = _fit(X, config, deadline=deadline, notes=notes)
         if tracer.enabled:
             result.profile = tracer.profile()
     return index, result, notes, monotonic_s() - t0
-
-
-def run_parallel_restarts(X: np.ndarray, children: Sequence, *,
-                          n_jobs: int,
-                          deadline: Optional[Deadline],
-                          fit_kwargs: Dict,
-                          profile: bool = False) -> RestartFanoutOutcome:
-    """Fan independent restarts out over a process pool.
-
-    Parameters
-    ----------
-    X:
-        The (already sanitized) data matrix; published once to shared
-        memory, attached read-only by every worker.
-    children:
-        Per-restart generators spawned by the caller — the identical
-        streams the serial loop would consume, so each restart computes
-        the identical result in either mode.
-    n_jobs:
-        Worker-count knob (``-1`` = all cores; capped at
-        ``len(children)``).
-    deadline:
-        Optional wall-clock budget.  Workers receive the remaining
-        seconds at fan-out time and self-terminate best-so-far; once the
-        parent observes expiry, not-yet-started restarts are cancelled.
-    fit_kwargs:
-        Keyword arguments for :func:`repro.core.proclus._fit` minus
-        ``X``/``seed``/``deadline``/``notes``/``restarts``/``n_jobs``
-        (must include ``k`` and ``l``).
-
-    The winner is the completed restart minimising
-    ``(iterative_objective, restart_index)`` — exactly the serial
-    first-best-wins rule, independent of completion order.
-    """
-    restarts = len(children)
-    workers = resolve_n_jobs(n_jobs, n_tasks=restarts)
-    remaining = None
-    if deadline is not None and not deadline.unlimited:
-        remaining = deadline.remaining()
-
-    plane = SharedMatrix.publish(X)
-    results: Dict[int, object] = {}
-    child_notes: Dict[int, List[str]] = {}
-    seconds: List[Optional[float]] = [None] * restarts
-    cancelled = 0
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {
-                pool.submit(_restart_worker, plane.descriptor, i, child,
-                            remaining, fit_kwargs, profile)
-                for i, child in enumerate(children)
-            }
-            while pending:
-                # Bounded timeout so deadline expiry is observed promptly
-                # even when every worker is busy: an untimed wait would
-                # postpone cancelling pending restarts until some future
-                # happens to finish.
-                done, pending = wait(pending, timeout=0.05,
-                                     return_when=FIRST_COMPLETED)
-                for fut in done:
-                    if fut.cancelled():
-                        continue
-                    index, result, notes, secs = fut.result()
-                    results[index] = result
-                    child_notes[index] = notes
-                    seconds[index] = secs
-                if deadline is not None and deadline.expired():
-                    for fut in pending:
-                        if fut.cancel():
-                            cancelled += 1
-                    pending = {f for f in pending if not f.cancelled()}
-    finally:
-        plane.unlink()
-
-    if not results:  # pragma: no cover - at least one future always runs
-        raise ParameterError("no restart completed")
-    best_index = min(
-        results, key=lambda i: (results[i].iterative_objective, i),
-    )
-    return RestartFanoutOutcome(
-        best=results[best_index],
-        best_index=best_index,
-        winner_notes=child_notes[best_index],
-        completed=len(results),
-        cancelled=cancelled,
-        restart_seconds=seconds,
-        n_workers=workers,
-    )

@@ -33,9 +33,13 @@ four guarantees on top of the raw pool primitive:
   resumed run (``resume=True``) validates the manifest against the
   freshly spawned seed streams and fit parameters, loads the completed
   restarts, and computes only the rest — the reduction over the union
-  is bit-identical to an uninterrupted run.  A manifest from a
-  *different* run raises :class:`~repro.exceptions.CheckpointError`;
-  a corrupt per-restart payload file is discarded and recomputed.
+  is bit-identical to an uninterrupted run.  The fit parameters in the
+  run's identity are
+  :meth:`~repro.core.config.ProclusConfig.result_fields`, so a run may
+  resume with other execution knobs (``n_jobs``, ``max_retries``, ...).
+  A manifest from a *different* run raises
+  :class:`~repro.exceptions.CheckpointError`; a corrupt per-restart
+  payload file is discarded and recomputed.
 * **Signal-safe shutdown** — SIGINT/SIGTERM install a one-shot handler
   (main thread only) that stops dispatch, cancels pending restarts,
   flushes the checkpoint, and returns the best completed restart with
@@ -44,13 +48,13 @@ four guarantees on top of the raw pool primitive:
   a hard exit.
 
 Two entry points mirror the two execution modes of
-:func:`repro.core.proclus._fit`: :func:`supervise_restarts` (process
-pool, ``n_jobs >= 2``) and :func:`run_serial_restarts` (in-process
-loop, exact serial semantics).  Both return a :class:`SupervisedOutcome`
-whose winner is reduced by ``(iterative_objective, restart_index)`` —
-the order-independent equivalent of the serial first-best-wins rule —
-and whose ``fault_tolerance`` dict lands on
-``ProclusResult.fault_tolerance``.
+:func:`repro.core.proclus._fit_restarts`: :func:`supervise_restarts`
+(process pool, ``n_jobs >= 2``) and :func:`run_serial_restarts`
+(in-process loop, exact serial semantics).  Both return a
+:class:`SupervisedOutcome` whose winner is reduced by
+``(iterative_objective, restart_index)`` — the order-independent
+equivalent of the serial first-best-wins rule — and whose
+``fault_tolerance`` dict lands on ``ProclusResult.fault_tolerance``.
 
 Heavy imports (:mod:`repro.perf.parallel`, :mod:`repro.core`) are
 deferred to call time: this package sits near the bottom of the
@@ -67,7 +71,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
                     Sequence, Tuple, Union)
@@ -80,6 +84,7 @@ from .atomicio import atomic_write
 from .guards import Deadline
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
+    from ..core.config import ProclusConfig
     from ..core.result import ProclusResult
 
 from .faults import ProcessFaultSpec, apply_process_fault
@@ -209,12 +214,17 @@ def _canonical(value: Any) -> Any:
     return f"<{type(value).__name__}>"
 
 
-def run_fingerprint(fit_kwargs: Dict[str, Any], n_restarts: int,
+def run_fingerprint(config: "ProclusConfig", n_restarts: int,
                     seed_tokens: Sequence[str]) -> str:
-    """Digest identifying a multi-restart run for checkpoint validation."""
+    """Digest identifying a multi-restart run for checkpoint validation.
+
+    Hashes the config's
+    :meth:`~repro.core.config.ProclusConfig.result_fields`, the restart
+    count and each restart's seed-state token.
+    """
     blob = json.dumps(
         {
-            "fit": _canonical(fit_kwargs),
+            "fit": _canonical(config.result_fields()),
             "restarts": int(n_restarts),
             "seeds": list(seed_tokens),
         },
@@ -265,7 +275,7 @@ class RunCheckpoint:
     @classmethod
     def open(cls, directory: Union[str, Path], *,
              children: Sequence[np.random.Generator],
-             fit_kwargs: Dict[str, Any], resume: bool) -> "RunCheckpoint":
+             config: "ProclusConfig", resume: bool) -> "RunCheckpoint":
         """Open (or start) the checkpoint for a concrete run.
 
         ``resume=False`` starts fresh: the directory is created and a
@@ -275,7 +285,7 @@ class RunCheckpoint:
         :class:`~repro.exceptions.CheckpointError`.
         """
         tokens = [seed_state_token(child) for child in children]
-        fingerprint = run_fingerprint(fit_kwargs, len(children), tokens)
+        fingerprint = run_fingerprint(config, len(children), tokens)
         ckpt = cls(directory, len(children), tokens, fingerprint)
         if resume:
             ckpt.resumed = True
@@ -393,13 +403,15 @@ class RunCheckpoint:
 
 @dataclass
 class SupervisedOutcome:
-    """What the supervised restart loops hand back to ``_fit``.
+    """What the supervised restart loops hand back to ``_fit_restarts``.
 
-    Field semantics match
-    :class:`repro.perf.parallel.RestartFanoutOutcome` — ``cancelled``
-    counts restarts the expired *deadline* cancelled before they
-    started (signal-cancelled ones are visible as
-    ``n_restarts - completed`` instead) — plus the supervisor's own
+    ``best`` is the winning restart's result and ``winner_notes`` the
+    notes that restart alone produced.  ``completed`` counts restarts
+    that finished (resumed ones included); ``cancelled`` counts those
+    the expired *deadline* cancelled before they started
+    (signal-cancelled ones are visible as ``n_restarts - completed``
+    instead).  ``restart_seconds`` holds per-restart wall times indexed
+    by restart (``None`` for ones that never ran).  The supervisor's own
     diagnostics: ``fault_tolerance`` (retry/respawn/timeout/salvage/
     resume counters destined for ``ProclusResult.fault_tolerance``)
     and ``interrupted``/``signum`` describing a signal-triggered
@@ -479,8 +491,8 @@ def _fault_tolerance_dict(*, max_retries: int,
 # ----------------------------------------------------------------------
 
 def _supervised_worker(
-    descriptor: Dict[str, object], index: int, seed: np.random.Generator,
-    remaining_s: Optional[float], fit_kwargs: Dict, attempt: int,
+    descriptor: Dict[str, object], index: int, config: "ProclusConfig",
+    remaining_s: Optional[float], attempt: int,
     fault: Optional[ProcessFaultSpec], profile: bool = False,
 ) -> Tuple[int, object, List[str], float]:
     """One supervised restart inside a pool worker.
@@ -494,8 +506,7 @@ def _supervised_worker(
         return (index, None, [], 0.0)  # corrupt payload
     from ..perf.parallel import _restart_worker
 
-    return _restart_worker(descriptor, index, seed, remaining_s, fit_kwargs,
-                           profile)
+    return _restart_worker(descriptor, index, config, remaining_s, profile)
 
 
 def _valid_payload(payload: object, index: int) -> bool:
@@ -517,22 +528,19 @@ def _valid_payload(payload: object, index: int) -> bool:
 # In-process restart runner (shared by the serial loop and salvage)
 # ----------------------------------------------------------------------
 
-def _run_one_serial(X: np.ndarray, child: np.random.Generator,
-                    deadline: Optional[Deadline],
-                    fit_kwargs: Dict[str, Any],
-                    index: Optional[int] = None,
+def _run_one_serial(X: np.ndarray, config: "ProclusConfig",
+                    deadline: Optional[Deadline], index: int,
                     ) -> Tuple["ProclusResult", List[str], float]:
-    """One restart computed in the parent process (exact serial path)."""
+    """One restart computed in the parent process (exact serial path).
+
+    ``config`` carries the restart's own seed and ``restarts=1``.
+    """
     from ..core.proclus import _fit
 
-    params = dict(fit_kwargs)
-    k = params.pop("k")
-    l = params.pop("l")
     notes: List[str] = []
     t0 = time.perf_counter()
     with get_tracer().span("restart", index=index):
-        result = _fit(X, k, l, restarts=1, seed=child, deadline=deadline,
-                      notes=notes, n_jobs=1, **params)
+        result = _fit(X, config, deadline=deadline, notes=notes)
     return result, notes, time.perf_counter() - t0
 
 
@@ -542,8 +550,8 @@ def _run_one_serial(X: np.ndarray, child: np.random.Generator,
 
 def run_serial_restarts(X: np.ndarray,
                         children: Sequence[np.random.Generator], *,
+                        config: "ProclusConfig",
                         deadline: Optional[Deadline],
-                        fit_kwargs: Dict[str, Any],
                         checkpoint: Optional[RunCheckpoint] = None,
                         interrupt_after: Optional[int] = None,
                         ) -> SupervisedOutcome:
@@ -556,6 +564,9 @@ def run_serial_restarts(X: np.ndarray,
     resumed entries are skipped; the signal guard is installed only when
     checkpointing is active, preserving the historical
     ``KeyboardInterrupt`` behaviour of plain runs.
+
+    Restart ``i`` runs ``config`` with its seed replaced by
+    ``children[i]``.
     """
     if interrupt_after is None:
         interrupt_after = _TEST_INTERRUPT_AFTER
@@ -583,7 +594,7 @@ def run_serial_restarts(X: np.ndarray,
                 watch.request_stop(signal.SIGINT)
                 break
             result, notes_i, secs = _run_one_serial(
-                X, child, deadline, fit_kwargs, index=i)
+                X, replace(config, seed=child), deadline, i)
             results[i] = result
             child_notes[i] = notes_i
             seconds[i] = secs
@@ -640,11 +651,8 @@ def _terminate_pool(pool: Any, kill: bool) -> None:
 
 def supervise_restarts(X: np.ndarray,
                        children: Sequence[np.random.Generator], *,
-                       n_jobs: int,
+                       config: "ProclusConfig",
                        deadline: Optional[Deadline],
-                       fit_kwargs: Dict[str, Any],
-                       max_retries: int = 2,
-                       restart_timeout_s: Optional[float] = None,
                        checkpoint: Optional[RunCheckpoint] = None,
                        fault_spec: Optional[ProcessFaultSpec] = None,
                        interrupt_after: Optional[int] = None,
@@ -661,6 +669,11 @@ def supervise_restarts(X: np.ndarray,
     queued restarts without waiting for a completion.  See the module
     docstring for the recovery, timeout, checkpoint, and signal
     contracts.
+
+    Restart ``i`` runs ``config`` with its seed replaced by
+    ``children[i]``; the worker count, retry budget and hang cap come
+    from ``config.n_jobs``, ``config.max_retries`` and
+    ``config.restart_timeout_s``.
 
     ``fault_spec``/``interrupt_after`` are chaos-test hooks: the former
     ships a :class:`~repro.robustness.faults.ProcessFaultSpec` to every
@@ -683,7 +696,9 @@ def supervise_restarts(X: np.ndarray,
         interrupt_after = _TEST_INTERRUPT_AFTER
 
     restarts = len(children)
-    workers = resolve_n_jobs(n_jobs, n_tasks=restarts)
+    workers = resolve_n_jobs(config.n_jobs, n_tasks=restarts)
+    max_retries = config.max_retries
+    restart_timeout_s = config.restart_timeout_s
     results: Dict[int, "ProclusResult"] = {}
     child_notes: Dict[int, List[str]] = {}
     seconds: List[Optional[float]] = [None] * restarts
@@ -768,8 +783,8 @@ def supervise_restarts(X: np.ndarray,
                     try:
                         fut = pool.submit(
                             _supervised_worker, plane.descriptor, index,
-                            children[index], remaining, fit_kwargs, attempt,
-                            fault_spec, profile,
+                            replace(config, seed=children[index]),
+                            remaining, attempt, fault_spec, profile,
                         )
                     except (BrokenProcessPool, RuntimeError):
                         # pool already broken: nothing was dispatched, so
@@ -857,7 +872,7 @@ def supervise_restarts(X: np.ndarray,
             if tracer.enabled:
                 tracer.event("salvage_serial", index=index)
             result, notes_i, secs = _run_one_serial(
-                X, children[index], deadline, fit_kwargs, index=index)
+                X, replace(config, seed=children[index]), deadline, index)
             _record(index, result, notes_i, secs)
             salvaged += 1
 

@@ -1,9 +1,12 @@
 """Unit tests for ProclusConfig validation and ProclusResult accessors."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
-from repro.core import ProclusConfig, ProclusResult
+from repro.core import Proclus, ProclusConfig, ProclusResult, proclus
 from repro.exceptions import ParameterError
 
 
@@ -34,6 +37,46 @@ class TestProclusConfig:
     def test_fractional_l(self):
         cfg = ProclusConfig(k=4, l=2.5).validated(1000, 10)
         assert cfg.total_dimensions == 10
+
+    def test_frozen(self):
+        cfg = ProclusConfig(k=3, l=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.k = 4  # type: ignore[misc]
+
+    def test_too_small_fit_sample_names_the_sample_size(self):
+        with pytest.raises(ParameterError,
+                           match=r"A\*k = 30\*3 = 90"):
+            ProclusConfig(k=3, l=3, fit_sample_size=80).validated(1000, 10)
+        # a sample covering every point is the plain fit: nothing to check
+        ProclusConfig(k=3, l=3, fit_sample_size=80).validated(50, 10)
+
+
+class TestConfigDrift:
+    """ProclusConfig and proclus() list the same fit parameters."""
+
+    def test_every_field_is_a_proclus_parameter_with_its_default(self):
+        params = inspect.signature(proclus).parameters
+        for f in dataclasses.fields(ProclusConfig):
+            if f.name == "exclude_dims":  # set only by the auto_degrade plan
+                assert f.name not in params
+                continue
+            assert f.name in params, f.name
+            if f.name in ("k", "l"):
+                assert f.default is dataclasses.MISSING
+                assert params[f.name].default is inspect.Parameter.empty
+            else:
+                assert params[f.name].default == f.default, f.name
+
+    def test_proclus_only_parameters_are_not_fields(self):
+        names = {f.name for f in dataclasses.fields(ProclusConfig)}
+        extra = set(inspect.signature(proclus).parameters) - names
+        assert extra == {"X", "on_bad_values", "collapse_duplicates",
+                         "auto_degrade", "profile"}
+
+    def test_estimator_rejects_unknown_keyword_at_construction(self):
+        with pytest.raises(TypeError, match="bogus"):
+            Proclus(k=3, l=3, bogus=1)
+        Proclus(k=3, l=3, seed=1, n_jobs=2, on_bad_values="drop")
 
 
 def make_result():

@@ -10,11 +10,13 @@ serialization.
 
 import json
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import proclus
+from repro.core.config import ProclusConfig
 from repro.core.serialization import load_result, save_result
 from repro.data import generate
 from repro.exceptions import CheckpointError, ParameterError
@@ -75,19 +77,36 @@ class TestSeedStateToken:
 
 class TestRunFingerprint:
     def test_sensitive_to_parameters_and_seeds(self):
-        kwargs = dict(k=3, l=3.0, metric="euclidean")
-        base = run_fingerprint(kwargs, 4, ["a", "b"])
-        assert run_fingerprint(dict(kwargs, k=4), 4, ["a", "b"]) != base
-        assert run_fingerprint(kwargs, 5, ["a", "b"]) != base
-        assert run_fingerprint(kwargs, 4, ["a", "c"]) != base
-        assert run_fingerprint(dict(kwargs), 4, ["a", "b"]) == base
+        config = ProclusConfig(k=3, l=3.0, metric="euclidean")
+        base = run_fingerprint(config, 4, ["a", "b"])
+        assert run_fingerprint(replace(config, k=4), 4, ["a", "b"]) != base
+        assert run_fingerprint(config, 5, ["a", "b"]) != base
+        assert run_fingerprint(config, 4, ["a", "c"]) != base
+        assert run_fingerprint(replace(config), 4, ["a", "b"]) == base
 
     def test_non_json_values_fingerprint_by_type(self):
         from repro.distance.lp import ManhattanDistance
 
-        fp1 = run_fingerprint({"metric": ManhattanDistance()}, 2, ["t"])
-        fp2 = run_fingerprint({"metric": ManhattanDistance()}, 2, ["t"])
+        fp1 = run_fingerprint(
+            ProclusConfig(k=3, l=3, metric=ManhattanDistance()), 2, ["t"])
+        fp2 = run_fingerprint(
+            ProclusConfig(k=3, l=3, metric=ManhattanDistance()), 2, ["t"])
         assert fp1 == fp2
+
+    def test_execution_knobs_do_not_enter_the_fingerprint(self, tmp_path):
+        config = ProclusConfig(k=3, l=3)
+        base = run_fingerprint(config, 2, ["t"])
+        for change in (dict(n_jobs=2), dict(max_retries=0),
+                       dict(restart_timeout_s=5.0), dict(time_budget_s=9.0),
+                       dict(checkpoint_dir=str(tmp_path), resume=True),
+                       dict(seed=11), dict(restarts=7)):
+            assert run_fingerprint(replace(config, **change), 2,
+                                   ["t"]) == base, change
+        for change in (dict(handle_outliers=False), dict(cache=False),
+                       dict(fit_sample_size=500), dict(dtype="float32"),
+                       dict(exclude_dims=(1,))):
+            assert run_fingerprint(replace(config, **change), 2,
+                                   ["t"]) != base, change
 
 
 # ----------------------------------------------------------------------
@@ -100,14 +119,14 @@ class TestRunCheckpoint:
 
     def test_record_then_resume_roundtrip(self, tmp_path, workload):
         children = spawn(ensure_rng(9), 3)
-        kwargs = dict(k=3, l=3.0)
+        config = ProclusConfig(k=3, l=3.0)
         ckpt = RunCheckpoint.open(tmp_path, children=children,
-                                  fit_kwargs=kwargs, resume=False)
+                                  config=config, resume=False)
         result = self._fit_result(workload)
         ckpt.record(1, result, ["a note"], 0.25)
 
         resumed = RunCheckpoint.open(tmp_path, children=spawn(ensure_rng(9), 3),
-                                     fit_kwargs=kwargs, resume=True)
+                                     config=config, resume=True)
         loaded = resumed.completed()
         assert set(loaded) == {1}
         got, notes, seconds = loaded[1]
@@ -119,43 +138,44 @@ class TestRunCheckpoint:
         with pytest.raises(CheckpointError, match="no checkpoint manifest"):
             RunCheckpoint.open(tmp_path / "empty",
                                children=spawn(ensure_rng(9), 2),
-                               fit_kwargs={}, resume=True)
+                               config=ProclusConfig(k=3, l=3.0), resume=True)
 
     def test_resume_with_unreadable_manifest_raises(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{not json")
         with pytest.raises(CheckpointError, match="unreadable"):
             RunCheckpoint.open(tmp_path, children=spawn(ensure_rng(9), 2),
-                               fit_kwargs={}, resume=True)
+                               config=ProclusConfig(k=3, l=3.0), resume=True)
 
     def test_resume_of_a_different_run_raises(self, tmp_path):
-        kwargs = dict(k=3, l=3.0)
+        config = ProclusConfig(k=3, l=3.0)
         RunCheckpoint.open(tmp_path, children=spawn(ensure_rng(9), 2),
-                           fit_kwargs=kwargs, resume=False)
+                           config=config, resume=False)
         with pytest.raises(CheckpointError, match="different run"):
             RunCheckpoint.open(tmp_path, children=spawn(ensure_rng(10), 2),
-                               fit_kwargs=kwargs, resume=True)
+                               config=config, resume=True)
         with pytest.raises(CheckpointError, match="different run"):
             RunCheckpoint.open(tmp_path, children=spawn(ensure_rng(9), 2),
-                               fit_kwargs=dict(k=4, l=3.0), resume=True)
+                               config=ProclusConfig(k=4, l=3.0), resume=True)
 
     def test_corrupt_payload_is_discarded_not_raised(self, tmp_path, workload):
         children = spawn(ensure_rng(9), 2)
-        kwargs = dict(k=3, l=3.0)
+        config = ProclusConfig(k=3, l=3.0)
         ckpt = RunCheckpoint.open(tmp_path, children=children,
-                                  fit_kwargs=kwargs, resume=False)
+                                  config=config, resume=False)
         ckpt.record(0, self._fit_result(workload), [], 0.1)
         (tmp_path / "restart_00000.npz").write_bytes(b"garbage")
 
         resumed = RunCheckpoint.open(tmp_path,
                                      children=spawn(ensure_rng(9), 2),
-                                     fit_kwargs=kwargs, resume=True)
+                                     config=config, resume=True)
         assert resumed.completed() == {}
         assert resumed.discarded == 1
 
     def test_manifest_writes_are_atomic(self, tmp_path, workload):
         children = spawn(ensure_rng(9), 2)
         ckpt = RunCheckpoint.open(tmp_path, children=children,
-                                  fit_kwargs={}, resume=False)
+                                  config=ProclusConfig(k=3, l=3.0),
+                                  resume=False)
         ckpt.record(0, self._fit_result(workload), [], 0.1)
         # no temp droppings left behind; the manifest parses
         leftovers = [p for p in tmp_path.iterdir() if ".tmp" in p.name]
