@@ -9,7 +9,8 @@ workload and requires it to be (near-)perfect.
 
 from conftest import run_once
 
-from repro.core import initialize_medoid_pool, piercing_report
+from repro.core import piercing_report
+from repro.core.initialization import initialize_medoid_pool
 
 
 def _piercing_rate(dataset, n_seeds: int = 20) -> dict:

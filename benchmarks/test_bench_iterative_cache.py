@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 from conftest import run_once
 
-from repro.core import run_iterative_phase
 from repro.core.initialization import initialize_medoid_pool
+from repro.core.iterative import run_iterative_phase
 from repro.data.synthetic import SyntheticDataGenerator
 from repro.experiments.configs import make_scalability_config
 from repro.rng import ensure_rng, spawn

@@ -47,10 +47,9 @@ class CacheKeyContract:
     key_names: Tuple[str, ...]
 
 
-#: class name -> method name -> contract.  Keyed per method because the
-#: same determining quantity appears under different local names (the
-#: scalar ``delta`` in the locality path, the vector ``deltas`` in the
-#: batched statistics path).
+#: class name -> method name -> contract.  Keyed per method because a
+#: determining quantity is named locally in each method (the radius is
+#: the vector ``deltas`` in the batched statistics path).
 CACHE_KEY_CONTRACTS: Dict[str, Dict[str, CacheKeyContract]] = {
     "IterativeCache": {
         # d(X, X[row]) depends on the medoid row and the metric.
@@ -59,16 +58,9 @@ CACHE_KEY_CONTRACTS: Dict[str, Dict[str, CacheKeyContract]] = {
         # A segmental column depends on the medoid row and its dim set.
         "segmental_matrix": CacheKeyContract(
             store="_segmental", key_names=("row", "dims")),
-        # Locality membership depends on the medoid row, its radius,
-        # the fallback floor, and the metric.
-        "locality_members": CacheKeyContract(
-            store="_locality",
-            key_names=("row", "delta", "min_size", "metric")),
-        "store_locality_members": CacheKeyContract(
-            store="_locality",
-            key_names=("row", "delta", "min_size", "metric")),
-        # X_{i,.} rows are determined by the same quantities as the
-        # locality that produced them.
+        # X_{i,.} rows are determined by the quantities that fix the
+        # locality behind them: the medoid row, its radius, the fallback
+        # floor, and the metric.
         "dimension_stats": CacheKeyContract(
             store="_stats",
             key_names=("row", "deltas", "min_size", "metric")),

@@ -22,11 +22,17 @@ The algorithm runs in three phases (paper section 2):
 
 Use :class:`~repro.core.proclus.Proclus` (estimator API) or
 :func:`~repro.core.proclus.proclus` (one-call functional API).
+
+This package exports only entry points that validate their input
+(:func:`~repro.validation.check_array` or
+:func:`~repro.robustness.sanitize`), plus results, config and
+serialization.  The phase kernels trust an already-validated ``X`` and
+are imported from their own modules, e.g.
+``from repro.core.iterative import run_iterative_phase``.
 """
 
 from __future__ import annotations
 
-from .assignment import assign_points
 from .config import ProclusConfig
 from .diagnostics import (
     CacheReport,
@@ -38,20 +44,8 @@ from .diagnostics import (
     parallel_report,
     piercing_report,
 )
-from .dimensions import (
-    allocate_dimensions,
-    compute_localities,
-    dimension_statistics,
-    find_dimensions,
-    find_dimensions_from_clusters,
-)
-from .greedy import greedy_select
-from .initialization import initialize_medoid_pool
-from .iterative import IterationRecord, IterativePhaseResult, run_iterative_phase
-from .objective import evaluate_clusters
 from .predict import PredictReport, predict_points
 from .proclus import Proclus, proclus
-from .refinement import refine_clusters
 from .result import ProclusResult
 from .serialization import (load_result, load_result_with_fingerprint,
                             result_fingerprint, save_result)
@@ -62,19 +56,6 @@ __all__ = [
     "proclus",
     "ProclusConfig",
     "ProclusResult",
-    "greedy_select",
-    "initialize_medoid_pool",
-    "compute_localities",
-    "dimension_statistics",
-    "allocate_dimensions",
-    "find_dimensions",
-    "find_dimensions_from_clusters",
-    "assign_points",
-    "evaluate_clusters",
-    "run_iterative_phase",
-    "IterativePhaseResult",
-    "IterationRecord",
-    "refine_clusters",
     "piercing_report",
     "PiercingReport",
     "locality_report",

@@ -21,13 +21,11 @@ import numpy as np
 
 from ..exceptions import ParameterError
 from ..perf.kernels import segmental_columns
-from ..validation import check_array, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..perf.cache import IterativeCache
 
-__all__ = ["segmental_distance_matrix", "assign_points",
-           "assign_points_chunked"]
+__all__ = ["segmental_distance_matrix", "assign_points"]
 
 
 def segmental_distance_matrix(X: np.ndarray, medoids: np.ndarray,
@@ -40,8 +38,11 @@ def segmental_distance_matrix(X: np.ndarray, medoids: np.ndarray,
     paper's assignment requires.  When ``cache`` *and* the medoids' row
     indices into ``X`` are provided, columns are served from the cache
     where possible (bit-identical to the direct computation).
+
+    ``X`` must be a finite, C-contiguous 2-D float32/float64 array as
+    :func:`repro.validation.check_array` returns it; it is not checked
+    again.
     """
-    X = check_array(X, name="X")
     medoids = np.atleast_2d(np.asarray(medoids, dtype=X.dtype))
     k = medoids.shape[0]
     if len(dim_sets) != k:
@@ -66,6 +67,10 @@ def assign_points(X: np.ndarray, medoids: np.ndarray,
     matrix so callers (objective evaluation, outlier detection) can
     reuse it without a second pass.  ``cache``/``medoid_indices`` are
     forwarded to :func:`segmental_distance_matrix`.
+
+    ``X`` must be a finite, C-contiguous 2-D float32/float64 array as
+    :func:`repro.validation.check_array` returns it; it is not checked
+    again.
     """
     dist = segmental_distance_matrix(X, medoids, dim_sets,
                                      cache=cache,
@@ -75,21 +80,3 @@ def assign_points(X: np.ndarray, medoids: np.ndarray,
         return labels, dist
     return labels
 
-
-def assign_points_chunked(X: np.ndarray, medoids: np.ndarray,
-                          dim_sets: Sequence[Sequence[int]],
-                          chunk_size: int = 65536) -> np.ndarray:
-    """Streaming variant of :func:`assign_points` with bounded memory.
-
-    The paper's assignment is "a single pass over the database"; this
-    variant makes the single-pass structure literal by processing
-    ``chunk_size`` points at a time, holding only ``O(chunk_size * k)``
-    distance entries.  Results are identical to :func:`assign_points`.
-    """
-    X = check_array(X, name="X")
-    check_positive_int(chunk_size, name="chunk_size", minimum=1)
-    labels = np.empty(X.shape[0], dtype=np.int64)
-    for start in range(0, X.shape[0], chunk_size):
-        stop = min(start + chunk_size, X.shape[0])
-        labels[start:stop] = assign_points(X[start:stop], medoids, dim_sets)
-    return labels

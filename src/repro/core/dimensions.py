@@ -40,7 +40,6 @@ from ..distance.matrix import cross_distances, per_dimension_average_distance
 from ..distance.segmental import segmental_distances_to_point
 from ..dtypes import as_working, to_float64
 from ..exceptions import ParameterError
-from ..validation import check_array
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..perf.cache import IterativeCache
@@ -73,10 +72,14 @@ def compute_localities(X: np.ndarray, medoid_indices: np.ndarray, *,
         ``min_locality_size`` non-medoid points are used instead.
 
     With a :class:`~repro.perf.cache.IterativeCache`, distance columns
-    and member sets of medoids unchanged since the previous vertex are
-    reused instead of recomputed; results are bit-identical either way.
+    of medoids unchanged since the previous vertex are reused instead of
+    recomputed; the members are always read off the ``O(N)`` column.
+    Results are bit-identical either way.
+
+    ``X`` must be a finite, C-contiguous 2-D float32/float64 array as
+    :func:`repro.validation.check_array` returns it; it is not checked
+    again.
     """
-    X = check_array(X, name="X")
     medoid_indices = np.asarray(medoid_indices, dtype=np.intp)
     k = medoid_indices.size
     if k < 2:
@@ -93,13 +96,6 @@ def compute_localities(X: np.ndarray, medoid_indices: np.ndarray, *,
 
     localities: List[np.ndarray] = []
     for i in range(k):
-        if cache is not None:
-            members = cache.locality_members(
-                medoid_indices[i], deltas[i], min_locality_size, metric
-            )
-            if members is not None:
-                localities.append(members)
-                continue
         dist_i = point_dist[:, i]
         mask = dist_i <= deltas[i]
         mask[medoid_indices[i]] = False
@@ -108,11 +104,6 @@ def compute_localities(X: np.ndarray, medoid_indices: np.ndarray, *,
             order = np.argsort(dist_i, kind="stable")
             order = order[order != medoid_indices[i]]
             members = order[:min_locality_size]
-        if cache is not None:
-            cache.store_locality_members(
-                medoid_indices[i], deltas[i], min_locality_size, metric,
-                members,
-            )
         localities.append(members)
     return localities, deltas
 
@@ -268,8 +259,11 @@ def find_dimensions_from_clusters(X: np.ndarray, labels: np.ndarray,
     A cluster that ended up empty falls back to the corresponding entry
     of ``fallback`` (the iterative-phase dimensions) when provided, or
     to the medoid's nearest 2 points otherwise.
+
+    ``X`` must be a finite, C-contiguous 2-D float32/float64 array as
+    :func:`repro.validation.check_array` returns it; it is not checked
+    again.
     """
-    X = check_array(X, name="X")
     labels = np.asarray(labels)
     medoid_indices = np.asarray(medoid_indices, dtype=np.intp)
     k = medoid_indices.size

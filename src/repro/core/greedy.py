@@ -21,7 +21,7 @@ import numpy as np
 from ..distance.base import Metric, get_metric
 from ..exceptions import ParameterError
 from ..rng import SeedLike, ensure_rng
-from ..validation import check_array, check_positive_int
+from ..validation import check_positive_int
 
 __all__ = ["greedy_select"]
 
@@ -35,7 +35,9 @@ def greedy_select(S: np.ndarray, n_select: int, *,
     Parameters
     ----------
     S:
-        Candidate points, shape ``(m, d)``.
+        Candidate points, shape ``(m, d)``: a finite, C-contiguous 2-D
+        float32/float64 array as :func:`repro.validation.check_array`
+        returns it; it is not checked again.
     n_select:
         Number of points to pick (``<= m``).
     metric:
@@ -51,7 +53,6 @@ def greedy_select(S: np.ndarray, n_select: int, *,
     numpy.ndarray
         Indices into ``S`` of the selected points, in pick order.
     """
-    S = check_array(S, name="S")
     m = S.shape[0]
     n_select = check_positive_int(n_select, name="n_select", minimum=1)
     if n_select > m:

@@ -22,7 +22,6 @@ import numpy as np
 from ..distance.base import Metric
 from ..exceptions import ParameterError
 from ..rng import SeedLike, ensure_rng
-from ..validation import check_array
 from .greedy import greedy_select
 
 __all__ = ["initialize_medoid_pool"]
@@ -36,7 +35,9 @@ def initialize_medoid_pool(X: np.ndarray, sample_size: int, pool_size: int, *,
     Parameters
     ----------
     X:
-        Data matrix ``(N, d)``.
+        Data matrix ``(N, d)``: a finite, C-contiguous 2-D float32/float64
+        array as :func:`repro.validation.check_array` returns it; it is
+        not checked again.
     sample_size:
         ``A*k`` — size of the intermediate random sample ``S``.  Clamped
         to ``N`` when the dataset is smaller than the requested sample.
@@ -52,7 +53,6 @@ def initialize_medoid_pool(X: np.ndarray, sample_size: int, pool_size: int, *,
     numpy.ndarray
         ``pool_size`` distinct indices into ``X``.
     """
-    X = check_array(X, name="X")
     n = X.shape[0]
     if pool_size > sample_size:
         raise ParameterError(

@@ -33,7 +33,6 @@ from ..obs import get_tracer, monotonic_s
 from ..perf.cache import IterativeCache
 from ..rng import SeedLike, ensure_rng
 from ..robustness.guards import Deadline
-from ..validation import check_array
 from .assignment import assign_points
 from .dimensions import compute_localities, find_dimensions
 from .objective import evaluate_clusters
@@ -144,6 +143,10 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
     be shared with the refinement phase), ``None``/``False`` recomputes
     every vertex from scratch.  Cached and uncached runs produce
     bit-identical results; only the wall clock differs.
+
+    ``X`` must be a finite, C-contiguous 2-D float32/float64 array as
+    :func:`repro.validation.check_array` returns it; it is not checked
+    again.
     """
     t0 = monotonic_s()
     tracer = get_tracer()
@@ -151,7 +154,6 @@ def run_iterative_phase(X: np.ndarray, pool: np.ndarray, k: int, l: float, *,
         cache = IterativeCache()
     elif cache is False:
         cache = None
-    X = check_array(X, name="X")
     pool = np.asarray(pool, dtype=np.intp)
     if pool.size < k:
         raise ParameterError(

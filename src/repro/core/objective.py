@@ -26,7 +26,6 @@ import numpy as np
 
 from ..data.dataset import OUTLIER_LABEL
 from ..exceptions import ParameterError
-from ..validation import check_array
 
 __all__ = ["evaluate_clusters", "cluster_dispersions",
            "cluster_dispersions_and_sizes"]
@@ -58,8 +57,11 @@ def cluster_dispersions_and_sizes(
     the hill climb.  Empty clusters get ``w_i = 0.0`` (they contribute
     nothing to the objective but are flagged as bad medoids by the
     caller).
+
+    ``X`` must be a finite, C-contiguous 2-D float32/float64 array as
+    :func:`repro.validation.check_array` returns it; it is not checked
+    again.
     """
-    X = check_array(X, name="X")
     labels = np.asarray(labels)
     k = len(dim_sets)
     _check_labels(labels, k)
@@ -95,7 +97,12 @@ def cluster_dispersions(X: np.ndarray, labels: np.ndarray,
 
 def evaluate_clusters(X: np.ndarray, labels: np.ndarray,
                       dim_sets: Sequence[Sequence[int]]) -> float:
-    """The paper's objective: size-weighted mean dispersion, lower is better."""
+    """The paper's objective: size-weighted mean dispersion, lower is better.
+
+    ``X`` must be a finite, C-contiguous 2-D float32/float64 array as
+    :func:`repro.validation.check_array` returns it; it is not checked
+    again.
+    """
     labels = np.asarray(labels)
     n = labels.shape[0]
     if n == 0:

@@ -25,7 +25,6 @@ from ..data.dataset import OUTLIER_LABEL
 from ..exceptions import ParameterError
 from ..dtypes import as_working
 from ..obs import get_tracer
-from ..validation import check_array
 from .assignment import segmental_distance_matrix
 from .dimensions import find_dimensions_from_clusters
 
@@ -124,8 +123,11 @@ def refine_clusters(X: np.ndarray, labels: np.ndarray,
         one the iterative phase just used): segmental columns of
         medoids whose dimension set survived the cluster-based
         recomputation are reused instead of recomputed.
+
+    ``X`` must be a finite, C-contiguous 2-D float32/float64 array as
+    :func:`repro.validation.check_array` returns it; it is not checked
+    again.
     """
-    X = check_array(X, name="X")
     medoid_indices = np.asarray(medoid_indices, dtype=np.intp)
     fallback = (
         [tuple(d) for d in fallback_dims] if fallback_dims is not None else None

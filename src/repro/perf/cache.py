@@ -1,14 +1,13 @@
 """Incremental distance caching for the hill-climbing hot path.
 
-Each CLARANS vertex visit needs four expensive products, all of which
+Each CLARANS vertex visit needs three expensive products, all of which
 are column-separable by medoid:
 
 * the ``(N, k)`` full-dimensional distance matrix behind the localities
   (one column per medoid row);
-* the locality member sets (one per medoid, determined by the medoid's
-  distance column and its radius ``delta_i``);
 * the per-medoid dimension statistics ``X_{i,.}`` (determined by the
-  locality members);
+  locality members, which the medoid's distance column and its radius
+  ``delta_i`` determine);
 * the ``(N, k)`` segmental assignment matrix (one column per
   ``(medoid row, dimension set)`` pair).
 
@@ -133,8 +132,6 @@ class IterativeCache:
         ``d(X, X[row])`` of shape ``(N,)``.
     ``segmental``
         ``(row, dims)`` -> Manhattan segmental column of shape ``(N,)``.
-    ``locality``
-        ``(row, delta, min_size, metric)`` -> locality member indices.
     ``stats``
         ``(row, delta, min_size, metric)`` -> per-dimension average
         distance row of shape ``(d,)``.
@@ -143,6 +140,8 @@ class IterativeCache:
     unswapped medoid still changes when a swap moves its nearest
     neighbour; two visits agreeing on both the medoid row and its
     radius provably share the same members (and therefore statistics).
+    The members themselves are not cached: reading them off the cached
+    distance column is ``O(N)`` and only a statistics miss needs them.
     """
 
     def __init__(self, memory_budget_bytes: Optional[int] = None) -> None:
@@ -151,14 +150,12 @@ class IterativeCache:
         self.memory_budget_bytes = budget
         self.stats: Dict[str, CacheStats] = {
             name: CacheStats()
-            for name in ("distance", "segmental", "locality", "stats")
+            for name in ("distance", "segmental", "stats")
         }
         self._distance = _LruStore(budget, self.stats["distance"])
         self._segmental = _LruStore(budget, self.stats["segmental"])
-        self._locality = _LruStore(budget, self.stats["locality"])
         self._stats = _LruStore(budget, self.stats["stats"])
-        self._stores = (self._distance, self._segmental,
-                        self._locality, self._stats)
+        self._stores = (self._distance, self._segmental, self._stats)
         self._X: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -266,22 +263,6 @@ class IterativeCache:
         return out
 
     # ------------------------------------------------------------------
-    def locality_members(self, row: int, delta: float, min_size: int,
-                         metric: MetricLike) -> Optional[np.ndarray]:
-        """Cached locality member indices, or ``None`` on a miss."""
-        return self._locality.get(
-            (int(row), float(delta), int(min_size), self._metric_key(metric))
-        )
-
-    def store_locality_members(self, row: int, delta: float, min_size: int,
-                               metric: MetricLike,
-                               members: np.ndarray) -> None:
-        """Record a locality member set under its determining key."""
-        self._locality.put(
-            (int(row), float(delta), int(min_size), self._metric_key(metric)),
-            np.asarray(members, dtype=np.intp),
-        )
-
     def dimension_stats(self, X: np.ndarray, medoid_indices: np.ndarray,
                         localities: Sequence[np.ndarray],
                         deltas: np.ndarray, min_size: int,

@@ -2,9 +2,18 @@
 
 The functions here normalise user input into canonical numpy form and
 raise :class:`~repro.exceptions.ParameterError` /
-:class:`~repro.exceptions.DataError` with actionable messages.  They are
-deliberately small and composable; algorithm modules call them at the top
-of their public functions and then assume clean input internally.
+:class:`~repro.exceptions.DataError` with actionable messages.
+
+The contract is **entry points validate, kernels trust**.  A function
+that takes a data matrix from outside the program (``proclus``,
+``Proclus.predict``, ``predict_points``, ``locality_report``,
+``sweep_k``/``sweep_l``, the metrics and baselines) runs
+:func:`check_array` (or :func:`repro.robustness.sanitize`, which calls
+it) exactly once.  The phase kernels below them (initialization,
+localities, dimension selection, assignment, objective, refinement)
+receive that validated array and do not scan it again; they still check
+their O(k) arguments (pool size, label range, dimension sets).  The
+kernels are therefore not exported from :mod:`repro.core`.
 """
 
 from __future__ import annotations

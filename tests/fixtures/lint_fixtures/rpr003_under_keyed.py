@@ -17,12 +17,6 @@ class IterativeCache:
                 self._segmental.put(key, X[row])
         return X
 
-    def locality_members(self, row, delta, min_size, metric):
-        return self._locality.get((row, delta, min_size, metric))
-
-    def store_locality_members(self, row, delta, min_size, metric, members):
-        self._locality.put((row, delta, min_size, metric), members)
-
     def dimension_stats(self, X, rows, localities, deltas, min_size, metric):
         for i, row in enumerate(rows):
             key = (row, deltas[i], min_size, metric)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import assign_points
-from repro.core.assignment import segmental_distance_matrix
+from repro.core.assignment import assign_points, segmental_distance_matrix
 from repro.distance import segmental_distance
 from repro.exceptions import ParameterError
 
@@ -69,22 +68,3 @@ class TestAssignPoints:
         assert by_dim0[0] == 0
         assert by_dim1[0] == 1
 
-
-class TestChunkedAssignment:
-    def test_matches_unchunked(self, two_cluster_points):
-        from repro.core.assignment import assign_points_chunked
-        X = two_cluster_points
-        medoids = X[[5, 45]]
-        dims = [(0, 1), (2, 3)]
-        full = assign_points(X, medoids, dims)
-        for chunk in (1, 7, 64, 1000):
-            chunked = assign_points_chunked(X, medoids, dims,
-                                            chunk_size=chunk)
-            assert (full == chunked).all()
-
-    def test_invalid_chunk_size(self, two_cluster_points):
-        from repro.core.assignment import assign_points_chunked
-        with pytest.raises(ParameterError):
-            assign_points_chunked(two_cluster_points,
-                                  two_cluster_points[[0]], [(0,)],
-                                  chunk_size=0)

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    initialize_medoid_pool,
-    locality_report,
-    piercing_report,
-    proclus,
-)
+from repro.core import locality_report, piercing_report, proclus
+from repro.core.initialization import initialize_medoid_pool
 from repro.data import generate
 
 

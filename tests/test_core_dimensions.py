@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
+from repro.core.dimensions import (
     allocate_dimensions,
     compute_localities,
     dimension_statistics,

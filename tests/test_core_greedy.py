@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import greedy_select
+from repro.core.greedy import greedy_select
 from repro.exceptions import ParameterError
 
 

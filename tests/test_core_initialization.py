@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import initialize_medoid_pool
+from repro.core.initialization import initialize_medoid_pool
 from repro.data import generate
 from repro.exceptions import ParameterError
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import run_iterative_phase
-from repro.core.iterative import find_bad_medoids, replace_bad_medoids
+from repro.core.iterative import (find_bad_medoids, replace_bad_medoids,
+                                  run_iterative_phase)
 from repro.data import generate
 from repro.exceptions import ConvergenceWarning, ParameterError
 from repro.rng import ensure_rng
@@ -161,7 +161,8 @@ class TestRunIterativePhase:
         # regression: non-improving records used to carry the *best*
         # vertex's stale bad positions instead of the visited vertex's
         # own.  Re-derive each record's clustering and check.
-        from repro.core import assign_points, compute_localities, find_dimensions
+        from repro.core.assignment import assign_points
+        from repro.core.dimensions import compute_localities, find_dimensions
 
         pool = np.arange(0, 800, 40)
         out = run_iterative_phase(dataset.points, pool, k=3, l=4, seed=5)

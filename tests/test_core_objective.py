@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import evaluate_clusters
 from repro.core.objective import (cluster_dispersions,
-                                  cluster_dispersions_and_sizes)
+                                  cluster_dispersions_and_sizes,
+                                  evaluate_clusters)
 from repro.exceptions import ParameterError
 
 

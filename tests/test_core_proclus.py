@@ -1,12 +1,18 @@
 """Unit tests for the public PROCLUS API (estimator + function)."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import repro.robustness.supervisor  # noqa: F401 - bound before patching
+import repro.validation
 from repro import Proclus, proclus
+from repro.core import locality_report, sweep_k, sweep_l
 from repro.data import generate
-from repro.exceptions import NotFittedError, ParameterError
+from repro.exceptions import DataError, NotFittedError, ParameterError
 from repro.metrics import adjusted_rand_index
+from repro.metrics.internal import projected_objective
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +117,88 @@ class TestEstimator:
 
 class TestObjectiveQuality:
     def test_objective_better_than_random_assignment(self, easy_dataset, fitted):
-        from repro.core import evaluate_clusters
+        from repro.core.objective import evaluate_clusters
         rng = np.random.default_rng(0)
         random_labels = rng.integers(0, 3, size=1500)
         dim_sets = [fitted.dimensions[i] for i in range(3)]
         random_obj = evaluate_clusters(easy_dataset.points, random_labels, dim_sets)
         assert fitted.objective < random_obj
+
+
+@pytest.fixture
+def check_array_calls(monkeypatch):
+    """Count ``check_array`` calls at every ``repro`` module that binds it."""
+    original = repro.validation.check_array
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("name"))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "repro" or name.startswith("repro."))
+                and getattr(module, "check_array", None) is original):
+            monkeypatch.setattr(module, "check_array", counting)
+    return calls
+
+
+class TestValidateOnce:
+    """The entry point scans X once; the phase kernels trust it."""
+
+    @pytest.mark.parametrize("params", [
+        {},
+        {"cache": False},
+        {"fit_sample_size": 500},
+        {"restarts": 3, "n_jobs": 1},
+    ], ids=["cached", "uncached", "fit_sample_size", "serial_restarts"])
+    def test_fit_scans_x_once(self, easy_dataset, check_array_calls, params):
+        proclus(easy_dataset.points, 3, 5, seed=17, max_bad_tries=5,
+                **params)
+        assert check_array_calls == ["X"]
+
+    def test_predict_scans_x_once(self, easy_dataset, check_array_calls):
+        est = Proclus(k=3, l=5, seed=1, max_bad_tries=5).fit(
+            easy_dataset.points)
+        del check_array_calls[:]
+        est.predict(easy_dataset.points[:10])
+        assert check_array_calls == ["X"]
+
+
+@pytest.fixture(params=[np.nan, np.inf], ids=["nan", "inf"])
+def dirty_points(request, easy_dataset):
+    X = easy_dataset.points.copy()
+    X[7, 3] = request.param
+    return X
+
+
+class TestBoundaryRejectsBadValues:
+    def test_proclus_collapse_duplicates(self, dirty_points):
+        with pytest.raises(DataError):
+            proclus(dirty_points, 3, 5, seed=1, collapse_duplicates=True)
+
+    def test_proclus_auto_degrade(self, dirty_points):
+        with pytest.raises(DataError):
+            proclus(dirty_points, 3, 5, seed=1, auto_degrade=True)
+
+    def test_estimator_predict(self, easy_dataset, dirty_points):
+        est = Proclus(k=3, l=5, seed=1, max_bad_tries=5).fit(
+            easy_dataset.points)
+        with pytest.raises(DataError):
+            est.predict(dirty_points)
+
+    def test_locality_report(self, dirty_points):
+        with pytest.raises(DataError):
+            locality_report(dirty_points, [0, 1, 2])
+
+    def test_sweep_k(self, dirty_points):
+        with pytest.raises(DataError):
+            sweep_k(dirty_points, [2, 3], 5, seed=1)
+
+    def test_sweep_l(self, dirty_points):
+        with pytest.raises(DataError):
+            sweep_l(dirty_points, 3, [4, 5], seed=1)
+
+    def test_projected_objective(self, dirty_points):
+        labels = np.zeros(dirty_points.shape[0], dtype=np.int64)
+        with pytest.raises(DataError):
+            projected_objective(dirty_points, labels, {0: (0, 3)})

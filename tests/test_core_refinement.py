@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import refine_clusters
-from repro.core.refinement import detect_outliers, spheres_of_influence
+from repro.core.refinement import (detect_outliers, refine_clusters,
+                                   spheres_of_influence)
 from repro.data.dataset import OUTLIER_LABEL
 from repro.exceptions import ParameterError
 

@@ -8,12 +8,10 @@ import pytest
 from repro import Proclus, proclus
 from repro.baselines import Clique
 from repro.baselines.clique import Grid, Unit
-from repro.core import (
-    allocate_dimensions,
-    evaluate_clusters,
-    greedy_select,
-)
+from repro.core.dimensions import allocate_dimensions
+from repro.core.greedy import greedy_select
 from repro.core.iterative import find_bad_medoids
+from repro.core.objective import evaluate_clusters
 from repro.data import Dataset, generate
 from repro.distance import segmental_distance
 from repro.exceptions import DataError, ParameterError

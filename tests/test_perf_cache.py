@@ -8,7 +8,8 @@ wall clock, never a single float.
 import numpy as np
 import pytest
 
-from repro.core import cache_report, proclus, run_iterative_phase
+from repro.core import cache_report, proclus
+from repro.core.iterative import run_iterative_phase
 from repro.distance import cross_distances, segmental_distances_to_point
 from repro.exceptions import ParameterError
 from repro.perf import (
@@ -166,8 +167,7 @@ class TestIterativeCache:
         cache = IterativeCache()
         cache.distance_columns(X, np.array([0]), "euclidean")
         d = cache.stats_dict()
-        assert set(d) == {"distance", "segmental", "locality", "stats",
-                          "memory"}
+        assert set(d) == {"distance", "segmental", "stats", "memory"}
         assert d["memory"]["bytes"] == cache.nbytes
         assert d["memory"]["entries"] == 1
 

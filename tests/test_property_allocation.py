@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import allocate_dimensions
+from repro.core.dimensions import allocate_dimensions
 
 
 @st.composite
