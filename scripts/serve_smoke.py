@@ -8,10 +8,12 @@ sockets — the parts in-process unit tests cannot cover:
    fingerprinted model file;
 2. ``proclus serve`` is launched as a subprocess and polled on
    ``/readyz`` until it accepts traffic;
-3. a :class:`repro.serve.PredictClient` round-trips the full training
-   set and the labels must be **bit-identical** to a local
-   ``load_result(...).predict(...)`` — serving must not perturb the
-   numerics;
+3. the full training set goes over both wire formats — once through
+   :class:`repro.serve.PredictClient` (``application/x-npy``) and once
+   as a raw ``http.client`` JSON POST — and both label vectors must be
+   **bit-identical** to a local ``load_result(...).predict(...)``:
+   serving must not perturb the numerics.  ``/stats`` must have counted
+   both requests, one of them as ``npy_requests``;
 4. the server gets a real ``SIGTERM`` mid-life and must drain and exit
    with code 0.
 
@@ -23,6 +25,8 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import signal
 import subprocess
@@ -44,6 +48,21 @@ def _env() -> dict:
     src = os.path.join(os.getcwd(), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+def _post_json(port: int, points: np.ndarray) -> dict:
+    """POST ``points`` as JSON, the public curl-friendly format."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30.0)
+    try:
+        conn.request("POST", "/predict",
+                     body=json.dumps({"points": points.tolist()}),
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        body = json.loads(resp.read())
+        assert resp.status == 200, (resp.status, body)
+        return body
+    finally:
+        conn.close()
 
 
 def main() -> int:
@@ -83,13 +102,18 @@ def main() -> int:
             served = np.asarray(
                 client.predict(points, deadline_s=30.0)["labels"])
             assert np.array_equal(served, local_labels), \
-                "served labels must be bit-identical to local predict"
-            print(f"served {served.size} labels bit-identical to local "
-                  f"predict ({int((served == -1).sum())} outliers)")
+                "npy-served labels must be bit-identical to local predict"
+            by_json = np.asarray(_post_json(port, points)["labels"])
+            assert np.array_equal(by_json, local_labels), \
+                "JSON-served labels must be bit-identical to local predict"
+            print(f"served {served.size} labels over npy and JSON, both "
+                  f"bit-identical to local predict "
+                  f"({int((served == -1).sum())} outliers)")
 
             stats = client.stats()
             assert stats["breaker"]["state"] == "closed", stats["breaker"]
-            assert stats["counters"].get("predictions", 0) >= 1, stats
+            assert stats["counters"].get("predictions", 0) == 2, stats
+            assert stats["counters"].get("npy_requests", 0) == 1, stats
 
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=15)

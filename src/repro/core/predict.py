@@ -99,7 +99,7 @@ class PredictReport:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly summary (the wire shape the query server returns)."""
         return {
-            "labels": [int(v) for v in self.labels],
+            "labels": self.labels.tolist(),
             "n_points": int(self.n_points),
             "n_outliers": int(self.n_outliers),
             "warnings": list(self.warnings),

@@ -27,6 +27,7 @@ correctly.  This client encodes the well-behaved reaction:
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import math
 import time
@@ -35,11 +36,15 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..dtypes import as_working
 from ..exceptions import BudgetExceededError, ParameterError, ServeError
 from ..rng import SeedLike, ensure_rng
 from ..robustness.guards import Deadline
+from .server import NPY_CONTENT_TYPE
 
 __all__ = ["RetryPolicy", "PredictClient"]
+
+_JSON = "application/json"
 
 #: Statuses worth repeating: transient overload/unavailability signals.
 _RETRYABLE_STATUSES = (429, 502, 503)
@@ -114,29 +119,43 @@ class PredictClient:
         ``deadline_s`` becomes the server-side ``X-Deadline-S`` budget;
         ``on_bad_values`` overrides the server's NaN/inf policy for
         this batch.  Labels come back under ``"labels"``.
+
+        The batch travels as one ``application/x-npy`` array: float32
+        and float64 input as it is, anything else cast to float64.
+        Input that is not numeric raises
+        :class:`~repro.exceptions.ParameterError` before any request.
         """
-        payload: Dict[str, Any] = {"points": np.asarray(points).tolist()}
-        if on_bad_values is not None:
-            payload["on_bad_values"] = on_bad_values
+        try:
+            arr = as_working(points)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(
+                f"query batch is not numeric matrix data: {exc}") from None
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, np.ascontiguousarray(arr),
+                                  allow_pickle=False)
         headers: Dict[str, str] = {}
         if deadline_s is not None:
             headers["X-Deadline-S"] = f"{float(deadline_s):g}"
-        return self._request("POST", "/predict", payload, headers)
+        if on_bad_values is not None:
+            headers["X-On-Bad-Values"] = on_bad_values
+        return self._request("POST", "/predict", buf.getvalue(),
+                             NPY_CONTENT_TYPE, headers)
 
     def reload(self, path: Optional[str] = None) -> Dict[str, Any]:
         """Hot-swap the served model (server re-reads its current path
         when ``path`` is ``None``)."""
         body: Dict[str, Any] = {} if path is None else {"path": str(path)}
-        return self._request("POST", "/reload", body, {})
+        return self._request("POST", "/reload",
+                             json.dumps(body).encode("utf-8"))
 
     def healthz(self) -> Dict[str, Any]:
         """Liveness document (200 even while draining)."""
-        return self._request("GET", "/healthz", None, {})
+        return self._request("GET", "/healthz")
 
     def ready(self) -> bool:
         """True when the server would accept a predict right now."""
         try:
-            status, _, _ = self._once("GET", "/readyz", None, {},
+            status, _, _ = self._once("GET", "/readyz", None, _JSON, {},
                                       self.request_timeout_s)
         except (OSError, http.client.HTTPException):
             return False
@@ -144,21 +163,19 @@ class PredictClient:
 
     def stats(self) -> Dict[str, Any]:
         """The server's counter/breaker/admission snapshot."""
-        return self._request("GET", "/stats", None, {})
+        return self._request("GET", "/stats")
 
     # -- machinery -----------------------------------------------------
 
-    def _once(self, method: str, path: str,
-              payload: Optional[Dict[str, Any]], headers: Dict[str, str],
-              timeout_s: float) -> Tuple[int, Dict[str, str],
-                                         Dict[str, Any]]:
+    def _once(self, method: str, path: str, body: Optional[bytes],
+              content_type: str, headers: Dict[str, str],
+              timeout_s: float) -> Tuple[int, Dict[str, str], Any]:
         """One HTTP attempt; returns (status, headers, parsed body)."""
-        body = None if payload is None else json.dumps(payload).encode("utf-8")
         conn = http.client.HTTPConnection(self.host, self.port,
                                           timeout=timeout_s)
         try:
             send_headers = dict(headers)
-            send_headers["Content-Type"] = "application/json"
+            send_headers["Content-Type"] = content_type
             conn.request(method, path, body=body, headers=send_headers)
             resp = conn.getresponse()
             raw = resp.read()
@@ -173,9 +190,9 @@ class PredictClient:
         finally:
             conn.close()
 
-    def _request(self, method: str, path: str,
-                 payload: Optional[Dict[str, Any]],
-                 headers: Dict[str, str]) -> Dict[str, Any]:
+    def _request(self, method: str, path: str, body: Optional[bytes] = None,
+                 content_type: str = _JSON,
+                 headers: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
         policy = self.policy
         deadline = Deadline.start(policy.total_deadline_s)
         last_failure = "no attempt made"
@@ -189,7 +206,8 @@ class PredictClient:
             retry_after = 0.0
             try:
                 status, resp_headers, obj = self._once(
-                    method, path, payload, headers, timeout_s)
+                    method, path, body, content_type, headers or {},
+                    timeout_s)
             except (OSError, http.client.HTTPException) as exc:
                 # HTTPException covers garbled/truncated responses
                 # (BadStatusLine, IncompleteRead) that are not OSErrors;
@@ -197,7 +215,15 @@ class PredictClient:
                 last_failure = f"connection failed: {exc}"
             else:
                 if status < 300:
-                    return obj
+                    # a success body is a JSON object; anything else is a
+                    # broken server, and repeating the request will not
+                    # mend it
+                    if isinstance(obj, dict) and "error" not in obj:
+                        return obj
+                    raise ServeError(
+                        f"server returned {status} for {method} {path} "
+                        f"without a JSON object body: "
+                        f"{self._error_message(obj, status)}")
                 message = self._error_message(obj, status)
                 if status == 400:
                     raise ParameterError(message)
@@ -230,7 +256,7 @@ class PredictClient:
             f"attempt(s); last failure: {last_failure}")
 
     @staticmethod
-    def _error_message(obj: Dict[str, Any], status: int) -> str:
+    def _error_message(obj: Any, status: int) -> str:
         error = obj.get("error") if isinstance(obj, dict) else None
         if isinstance(error, dict):
             return f"[{error.get('type', 'error')}] {error.get('message', '')}"

@@ -28,6 +28,10 @@ queries with the refinement-phase semantics of
   second signal hard-exits 130.  Model hot-reload swaps an atomic
   pointer, so in-flight requests keep the model they started with.
 
+``POST /predict`` takes its batch as JSON or, under ``Content-Type:
+application/x-npy``, as one ``.npy`` array viewed in place
+(:func:`_decode_npy`); responses are always JSON.
+
 Every request runs under a ``serve.request`` span of the ambient
 :mod:`repro.obs` tracer with ``serve.*`` counters; tracing is
 observational only — served labels are bit-identical with and without
@@ -36,6 +40,7 @@ it (test-enforced).
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -63,6 +68,9 @@ from .admission import AdmissionController
 from .breaker import BREAKER_OPEN, CircuitBreaker
 
 __all__ = ["ServerConfig", "LoadedModel", "ModelStore", "ProclusServer"]
+
+#: Request content type of a binary query batch (see :func:`_decode_npy`).
+NPY_CONTENT_TYPE = "application/x-npy"
 
 PathLike = Union[str, Path]
 _Response = Tuple[int, Dict[str, Any], Dict[str, str]]
@@ -221,6 +229,44 @@ class ModelStore:
                 "reloads": self._reloads,
                 **(model.describe() if model is not None else {}),
             }
+
+
+def _decode_npy(body: bytes, d: int, max_points: int) -> np.ndarray:
+    """Zero-copy view of an ``application/x-npy`` query batch.
+
+    numpy's own header reader parses the header (``literal_eval`` under a
+    capped header size); the declared dtype, order, shape and byte length
+    are checked against the model before the payload is viewed, so a body
+    that disagrees with its header is never read.  The view is read-only.
+    Every rejection is a :class:`~repro.exceptions.ParameterError`.
+    """
+    fp = io.BytesIO(body)
+    try:
+        version = np.lib.format.read_magic(fp)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"format version {version} is not 1.0 or 2.0")
+        shape, fortran_order, dtype = (
+            np.lib.format.read_array_header_1_0(fp) if version == (1, 0)
+            else np.lib.format.read_array_header_2_0(fp))
+    except ValueError as exc:
+        raise ParameterError(f"malformed npy body: {exc}") from None
+    if (dtype.str not in ("<f8", "<f4") or fortran_order
+            or len(shape) not in (1, 2) or shape[-1] != d):
+        raise ParameterError(
+            f"npy body must be a C-ordered '<f8' or '<f4' array of shape "
+            f"(n, {d}) or ({d},); got descr {dtype.str!r}, fortran_order="
+            f"{fortran_order}, shape {shape}")
+    n = shape[0] if len(shape) == 2 else 1
+    if n > max_points:
+        raise ParameterError(
+            f"query batch has {n} points; at most {max_points} are "
+            "accepted per request")
+    offset = fp.tell()
+    if len(body) - offset != n * d * dtype.itemsize:
+        raise ParameterError(
+            f"npy body carries {len(body) - offset} data bytes; its header "
+            f"declares {n * d * dtype.itemsize}")
+    return np.frombuffer(body, dtype, offset=offset).reshape(n, d)
 
 
 def _error_payload(kind: str, message: str) -> Dict[str, Any]:
@@ -467,18 +513,29 @@ class ProclusServer:
         except (ParameterError, DataError) as exc:
             self._count("invalid_requests")
             return 400, _error_payload("invalid_request", str(exc)), {}
-        try:
-            obj = json.loads(body)
-        except ValueError:
-            self._count("invalid_requests")
-            return 400, _error_payload(
-                "invalid_json", "request body is not valid JSON"), {}
-        if not isinstance(obj, dict) or "points" not in obj:
-            self._count("invalid_requests")
-            return 400, _error_payload(
-                "invalid_request",
-                'body must be a JSON object with a "points" array'), {}
-        on_bad = obj.get("on_bad_values", cfg.on_bad_values)
+        points: Any
+        if handler.headers.get_content_type() == NPY_CONTENT_TYPE:
+            self._count("npy_requests")
+            try:
+                points = _decode_npy(body, model.d, cfg.max_points)
+            except ParameterError as exc:
+                self._count("invalid_requests")
+                return 400, _error_payload("invalid_request", str(exc)), {}
+            on_bad = handler.headers.get("X-On-Bad-Values", cfg.on_bad_values)
+        else:
+            try:
+                obj = json.loads(body)
+            except ValueError:
+                self._count("invalid_requests")
+                return 400, _error_payload(
+                    "invalid_json", "request body is not valid JSON"), {}
+            if not isinstance(obj, dict) or "points" not in obj:
+                self._count("invalid_requests")
+                return 400, _error_payload(
+                    "invalid_request",
+                    'body must be a JSON object with a "points" array'), {}
+            points = obj["points"]
+            on_bad = obj.get("on_bad_values", cfg.on_bad_values)
         if on_bad not in BAD_VALUE_POLICIES:
             self._count("invalid_requests")
             return 400, _error_payload(
@@ -512,7 +569,7 @@ class ProclusServer:
                     apply_serve_fault(self._fault, ordinal)
                     deadline.check("predict request")
                     report = predict_points(
-                        obj["points"], model.result.medoids, model.dim_sets,
+                        points, model.result.medoids, model.dim_sets,
                         spheres=model.spheres, on_bad_values=on_bad,
                         max_points=cfg.max_points, chunk_size=cfg.chunk_size,
                         memory_budget_bytes=cfg.memory_budget_bytes,

@@ -9,6 +9,8 @@ the predict path *is* the refinement phase's assignment rule.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,14 @@ class TestReportShape:
                                 "warnings"}
         assert payload["n_points"] == 4
         assert all(isinstance(v, int) for v in payload["labels"])
+
+    def test_to_dict_json_bytes_match_per_element_ints(self):
+        labels = np.array([0, -1, 2, 2**31 + 5, 2**40, -1], dtype=np.int64)
+        report = PredictReport(labels=labels, n_points=6, n_outliers=2,
+                               spheres=np.zeros(3), warnings=["w"])
+        per_element = {"labels": [int(v) for v in labels], "n_points": 6,
+                       "n_outliers": 2, "warnings": ["w"]}
+        assert json.dumps(report.to_dict()) == json.dumps(per_element)
 
     def test_return_distances(self, fitted):
         ds, result = fitted

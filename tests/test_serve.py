@@ -9,13 +9,17 @@ and the HTTP contract of a healthy server.
 from __future__ import annotations
 
 import http.client
+import io
 import json
+import socket
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.predict import predict_points
 from repro.core.proclus import proclus
 from repro.core.serialization import save_result
 from repro.exceptions import ParameterError, ServeError
@@ -255,6 +259,52 @@ def post_json(port: int, path: str, obj: Any,
                        headers)
 
 
+class StubHTTP:
+    """A socket server that answers every request with one canned reply.
+
+    It reads each request in full (headers, then ``Content-Length``
+    bytes) and keeps the bodies, so a test can see exactly what a
+    client put on the wire.
+    """
+
+    def __init__(self, reply: bytes) -> None:
+        self.reply = reply
+        self.bodies: List[bytes] = []
+        self._listener = socket.socket()
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(5)
+        self._listener.settimeout(0.05)
+        self.port = self._listener.getsockname()[1]
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            with conn, conn.makefile("rb") as fh:
+                conn.settimeout(10.0)
+                length = 0
+                while (line := fh.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                self.bodies.append(fh.read(length))
+                conn.sendall(self.reply)
+
+    def __enter__(self) -> "StubHTTP":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self._stop.set()
+        self._thread.join(timeout=5.0)
+        self._listener.close()
+        assert not self._thread.is_alive()
+
+
 class TestHTTPContract:
     def test_healthz_and_readyz(self, server):
         status, _, body = raw_request(server.port, "GET", "/healthz")
@@ -469,6 +519,26 @@ class TestPredictClient:
             listener.close()
             thread.join(timeout=5.0)
 
+    def test_2xx_with_non_json_body_is_typed_and_not_retried(self):
+        # a success status does not make a garbage body a success: the
+        # caller must get a typed error, not a KeyError on "labels"
+        reply = (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
+                 b"Content-Length: 9\r\n\r\n{garbage!")
+        with StubHTTP(reply) as stub:
+            client = PredictClient(
+                port=stub.port, seed=1,
+                policy=RetryPolicy(max_attempts=3, base_backoff_s=0.01))
+            with pytest.raises(ServeError, match="non_json"):
+                client.predict([[0.0]])
+        assert len(stub.bodies) == 1, "a broken 2xx body must not be retried"
+
+    def test_non_numeric_input_is_rejected_before_any_request(self):
+        client = PredictClient(port=1, seed=1)  # nothing may be sent
+        with pytest.raises(ParameterError, match="not numeric"):
+            client.predict([["a", "b"]])
+        with pytest.raises(ParameterError, match="not numeric"):
+            client.predict([[0.0, 1.0], [2.0]])
+
     def test_total_deadline_caps_retries(self):
         import socket
         probe = socket.socket()
@@ -489,3 +559,199 @@ class TestPredictClient:
             RetryPolicy(jitter_fraction=2.0)
         with pytest.raises(ParameterError):
             PredictClient(request_timeout_s=0.0)
+
+
+# ---------------------------------------------------------------------------
+# binary wire: application/x-npy
+# ---------------------------------------------------------------------------
+
+NPY = {"Content-Type": "application/x-npy"}
+
+
+def npy_body(descr: Any = "<f8", fortran_order: bool = False,
+             shape: Tuple[int, ...] = (2, 8), data_bytes: Optional[int] = None,
+             version: Tuple[int, int] = (1, 0)) -> bytes:
+    """An npy body whose header declares anything, followed by
+    ``data_bytes`` payload bytes (default: what the header declares)."""
+    buf = io.BytesIO()
+    header = {"descr": descr, "fortran_order": fortran_order,
+              "shape": shape}
+    if version == (1, 0):
+        np.lib.format.write_array_header_1_0(buf, header)
+    else:
+        np.lib.format.write_array_header_2_0(buf, header)
+    if data_bytes is None:
+        data_bytes = int(np.prod(shape)) * np.dtype(descr).itemsize
+    return buf.getvalue() + bytes(data_bytes)
+
+
+MAX_POINTS = 20
+
+
+@pytest.fixture(scope="module")
+def npy_server(model_env):
+    _, _, path = model_env
+    srv = ProclusServer(ServerConfig(port=0, max_points=MAX_POINTS,
+                                     max_concurrency=1, max_queue=0),
+                        model_path=path).start()
+    yield srv
+    srv.drain_and_stop(drain_s=2.0)
+
+
+def assert_rejected(server: ProclusServer, body: bytes) -> None:
+    """A malformed npy body is a 400 with a JSON error, counted as an
+    invalid request, and never touches the breaker.
+
+    The one admission slot is held throughout: the decoder must reject
+    the body before admission, or the request would be shed with 429.
+    """
+    before = server.stats()["counters"]
+    assert server.admission.acquire()
+    try:
+        status, _, reply = raw_request(server.port, "POST", "/predict",
+                                       body, NPY)
+    finally:
+        server.admission.release()
+    after = server.stats()
+    assert status == 400, reply
+    assert reply["error"]["type"] == "invalid_request"
+    for name, added in (("invalid_requests", 1), ("npy_requests", 1),
+                        ("internal_errors", 0), ("kernel_failures", 0)):
+        assert after["counters"].get(name, 0) == before.get(name, 0) + added
+    assert after["breaker"]["state"] == BREAKER_CLOSED
+
+
+def _written(arr: np.ndarray, **kwargs: Any) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, allow_pickle=False, **kwargs)
+    return buf.getvalue()
+
+
+VALID = npy_body()
+MALFORMED = {
+    "empty": b"",
+    "bad_magic": b"\x93NUMPX" + VALID[6:],
+    "version_1_1": VALID[:6] + bytes([1, 1]) + VALID[8:],
+    "version_3_0": _written(np.zeros((2, 8)), version=(3, 0)),
+    "object": npy_body("|O", data_bytes=128),
+    "big_endian": npy_body(">f8"),
+    "int64": npy_body("<i8"),
+    "structured": npy_body([("a", "<f8"), ("b", "<f8")], shape=(2, 4)),
+    "fortran_order": npy_body(fortran_order=True),
+    "ndim_0": npy_body(shape=()),
+    "ndim_3": npy_body(shape=(1, 2, 8)),
+    "wrong_d": npy_body(shape=(2, 7)),
+    "wrong_d_1d": npy_body(shape=(9,)),
+    "above_max_points": npy_body(shape=(MAX_POINTS + 1, 8)),
+    "huge_declared_shape": npy_body(shape=(10**12, 8), data_bytes=128),
+    "body_longer": npy_body(data_bytes=129),
+    "body_shorter": npy_body(data_bytes=127),
+    "header_not_a_dict": VALID[:10] + b"[" + VALID[11:],
+}
+
+
+class TestNpyDecoderRejects:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_named_case(self, npy_server, case):
+        assert_rejected(npy_server, MALFORMED[case])
+
+    @settings(max_examples=60, deadline=None)
+    @given(cut=st.integers(0, len(VALID) - 1),
+           version=st.sampled_from([(1, 0), (2, 0)]))
+    def test_truncated_anywhere(self, npy_server, cut, version):
+        assert_rejected(npy_server, npy_body(version=version)[:cut])
+
+    @settings(max_examples=40, deadline=None)
+    @given(version=st.tuples(st.integers(0, 255), st.integers(0, 255))
+           .filter(lambda v: v not in ((1, 0), (2, 0))))
+    def test_other_versions(self, npy_server, version):
+        assert_rejected(npy_server,
+                        VALID[:6] + bytes(version) + VALID[8:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, MAX_POINTS),
+           delta=st.integers(-64, 64).filter(lambda x: x != 0),
+           descr=st.sampled_from(["<f8", "<f4"]),
+           version=st.sampled_from([(1, 0), (2, 0)]))
+    def test_body_length_disagrees_with_header(self, npy_server, n, delta,
+                                               descr, version):
+        declared = n * 8 * np.dtype(descr).itemsize
+        body = npy_body(descr, shape=(n, 8),
+                        data_bytes=max(0, declared + delta), version=version)
+        assert_rejected(npy_server, body)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, npy_server, data):
+        assert_rejected(npy_server, data)
+
+
+@pytest.fixture(scope="module", params=["float64", "float32"])
+def served_model(request, model_env, tmp_path_factory):
+    ds, _, _ = model_env
+    result = proclus(ds.points, 3, 4.0, seed=77, dtype=request.param)
+    path = save_result(result, tmp_path_factory.mktemp("wire") / "model.npz")
+    srv = ProclusServer(ServerConfig(port=0), model_path=str(path)).start()
+    yield srv, result
+    srv.drain_and_stop(drain_s=2.0)
+
+
+def _queries(points: np.ndarray) -> Dict[str, Any]:
+    return {
+        "float64": points,
+        "float32": points.astype(np.float32),
+        "int": np.rint(points).astype(np.int64),
+        "list": points.tolist(),
+        "one_point": points[0],
+    }
+
+
+class TestWireBitIdentity:
+    """npy (PredictClient), JSON (raw POST) and in-process predict agree."""
+
+    @pytest.mark.parametrize("kind", sorted(_queries(np.zeros((1, 8)))))
+    def test_every_input_kind(self, model_env, served_model, kind):
+        ds, _, _ = model_env
+        server, result = served_model
+        query = _queries(ds.points)[kind]
+        before = server.stats()["counters"].get("npy_requests", 0)
+        served = PredictClient(port=server.port, seed=1).predict(query)
+        _, _, by_json = post_json(server.port, "/predict",
+                                  {"points": np.asarray(query).tolist()})
+        local = predict_points(query, result.medoids, result.dimensions)
+        assert served == by_json
+        assert np.array_equal(np.asarray(served["labels"]), local.labels)
+        assert server.stats()["counters"]["npy_requests"] == before + 1
+
+    @pytest.mark.parametrize("policy", ["drop", "impute_median"])
+    def test_nan_rows_through_the_header(self, model_env, served_model,
+                                         policy):
+        # the npy batch is a read-only view of the request body:
+        # sanitizing it must copy, never write into it
+        ds, _, _ = model_env
+        server, result = served_model
+        query = ds.points[:50].copy()
+        query[[3, 17], [0, 5]] = np.nan
+        served = PredictClient(port=server.port, seed=1).predict(
+            query, on_bad_values=policy)
+        _, _, by_json = post_json(
+            server.port, "/predict",
+            {"points": query.tolist(), "on_bad_values": policy})
+        local = predict_points(query, result.medoids, result.dimensions,
+                               on_bad_values=policy)
+        assert served == by_json
+        assert served["warnings"]
+        assert np.array_equal(np.asarray(served["labels"]), local.labels)
+
+    def test_unknown_policy_header_is_400(self, server):
+        with pytest.raises(ParameterError, match="on_bad_values"):
+            PredictClient(port=server.port, seed=1).predict(
+                np.zeros((1, 8)), on_bad_values="explode")
+
+    def test_bulk_body_is_header_plus_raw_floats(self):
+        reply = (b"HTTP/1.0 200 OK\r\nContent-Length: 14\r\n\r\n"
+                 b'{"labels": []}')
+        with StubHTTP(reply) as stub:
+            PredictClient(port=stub.port, seed=1).predict(
+                np.zeros((10_000, 20)))
+        assert [len(b) for b in stub.bodies] == [128 + 1_600_000]
